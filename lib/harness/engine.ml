@@ -1,10 +1,9 @@
-(** The execution engine (see the interface for the full story): a
-    mutex-guarded, content-addressed memo table over
-    {!Compilers.Backend.run} with a bounded LRU eviction policy, an
-    optional persistent {!Tbct_store.Cas} backend (read-through /
-    write-through), the baseline cache, the memoized clean [-O] step,
-    counters and per-stage wall-clock accounting.  One engine may be
-    shared across domains. *)
+(** The execution engine (see the interface for the full story): one
+    memoized-layer type and one memory -> disk -> compute path ({!memo})
+    shared by backend runs, the clean [-O] step, translation validation and
+    the compiled-program cache; plus the baseline cache, named counters and
+    per-stage wall-clock accounting.  One engine may be shared across
+    domains. *)
 
 open Spirv_ir
 module Lru = Tbct_store.Lru
@@ -13,23 +12,40 @@ module Run_codec = Tbct_store.Run_codec
 
 let default_memo_capacity = 65536
 
-type t = {
-  lock : Mutex.t;
-  mutable memo :
-    (string * string * string, Compilers.Backend.run_result) Lru.t;
+(* How a layer persists in the CAS: its namespaced key (digested into the
+   CAS key) and its exact codec. *)
+type ('k, 'v) disk = {
+  store_key : 'k -> string;
+  encode : 'v -> string;
+  decode : string -> 'v option;
+}
+
+(* One memoized layer: a bounded LRU, an optional disk namespace, and the
+   stage its fresh computes are billed to. *)
+type ('k, 'v) table = {
+  lru : ('k, 'v) Lru.t;
+  stage : string option;
+  disk : ('k, 'v) disk option;
+  mutable hits : int;  (* served from memory *)
+  mutable disk_hits : int;  (* served from the disk store *)
+  mutable computed : int;  (* computed afresh *)
+}
+
+(* Everything [reset] clears, rebuilt as a whole. *)
+type state = {
+  runs : (string * string * string, Compilers.Backend.run_result) table;
       (* (target name, module digest, input digest) -> result *)
-  mutable opt_memo : (string, Module_ir.t) Lru.t;
+  opts : (string, Module_ir.t) table;
       (* module digest -> clean -O optimized module *)
-  mutable tv_memo : (string * string, Compilers.Tv.verdict) Lru.t;
+  tvs : (string * string, Compilers.Tv.verdict) table;
       (* (before digest, after digest) -> translation-validation verdict *)
-  mutable compile_memo : (string, Compile.t) Lru.t;
+  programs : (string, Compile.t) table;
       (* module digest -> lowered program for the flat execution kernel *)
-  use_compiled : bool;
-      (* false: reference-interpreter mode (the differential oracle) *)
-  memo_capacity : int;
   baselines : (string * string, Compilers.Backend.run_result) Hashtbl.t;
-      (* (target name, reference name) -> result *)
-  store : Cas.t option;
+      (* (target name, reference name) -> result; keyed by name, not by
+         content, so it is no memo layer *)
+  mutable baseline_hits : int;
+  mutable store_writes : int;
   stage_wall : (string, float) Hashtbl.t;
   domain_runs : (int, int) Hashtbl.t;
       (* domain id -> backend executions performed by that domain; shows
@@ -37,17 +53,15 @@ type t = {
   named_counters : (string, int) Hashtbl.t;
       (* caller-defined tallies, e.g. per-transformation-type
          proposed/applied counts bumped by campaign drivers *)
-  mutable runs_executed : int;
-  mutable cache_hits : int;
-  mutable baseline_hits : int;
-  mutable opt_runs : int;
-  mutable opt_hits : int;
-  mutable store_hits : int;
-  mutable store_writes : int;
-  mutable tv_checks : int;
-  mutable tv_hits : int;
-  mutable compiles : int;
-  mutable compile_hits : int;
+}
+
+type t = {
+  lock : Mutex.t;
+  use_compiled : bool;
+      (* false: reference-interpreter mode (the differential oracle) *)
+  memo_capacity : int;
+  store : Cas.t option;
+  mutable s : state;
 }
 
 type stats = {
@@ -73,256 +87,172 @@ type stats = {
   counters : (string * int) list;
 }
 
+let execute_stage = "execute"
+
+let table ?stage ?disk capacity =
+  { lru = Lru.create ~capacity; stage; disk; hits = 0; disk_hits = 0;
+    computed = 0 }
+
+(* The layers and their disk namespaces; the key strings are the on-disk
+   format, so stores written by earlier builds stay warm. *)
+let fresh_state capacity =
+  {
+    runs =
+      table capacity ~stage:execute_stage
+        ~disk:
+          { store_key = (fun (t, m, i) -> Printf.sprintf "run:%s:%s:%s" t m i);
+            encode = Run_codec.encode_run; decode = Run_codec.decode_run };
+    opts =
+      table capacity ~stage:"optimize"
+        ~disk:
+          { store_key = (fun d -> "opt:" ^ d);
+            encode = Run_codec.encode_module;
+            decode = Run_codec.decode_module };
+    tvs =
+      table capacity ~stage:"tv"
+        ~disk:
+          { store_key = (fun (d1, d2) -> Printf.sprintf "tv:%s:%s" d1 d2);
+            encode = Run_codec.encode_verdict;
+            decode = Run_codec.decode_verdict };
+    programs = table capacity;
+    baselines = Hashtbl.create 64;
+    baseline_hits = 0;
+    store_writes = 0;
+    stage_wall = Hashtbl.create 8;
+    domain_runs = Hashtbl.create 8;
+    named_counters = Hashtbl.create 64;
+  }
+
 let create ?store ?(memo_capacity = default_memo_capacity) ?(compiled = true)
     () =
   {
     lock = Mutex.create ();
-    memo = Lru.create ~capacity:memo_capacity;
-    opt_memo = Lru.create ~capacity:memo_capacity;
-    tv_memo = Lru.create ~capacity:memo_capacity;
-    compile_memo = Lru.create ~capacity:memo_capacity;
     use_compiled = compiled;
     memo_capacity;
-    baselines = Hashtbl.create 64;
     store;
-    stage_wall = Hashtbl.create 8;
-    domain_runs = Hashtbl.create 8;
-    named_counters = Hashtbl.create 64;
-    runs_executed = 0;
-    cache_hits = 0;
-    baseline_hits = 0;
-    opt_runs = 0;
-    opt_hits = 0;
-    store_hits = 0;
-    store_writes = 0;
-    tv_checks = 0;
-    tv_hits = 0;
-    compiles = 0;
-    compile_hits = 0;
+    s = fresh_state memo_capacity;
   }
 
 let cas e = e.store
+let locked e f = Mutex.protect e.lock f
 
-let bump_counter e name n =
-  Mutex.lock e.lock;
-  Hashtbl.replace e.named_counters name
-    (n + Option.value ~default:0 (Hashtbl.find_opt e.named_counters name));
-  Mutex.unlock e.lock
+let tally tbl k n =
+  Hashtbl.replace tbl k (n + Option.value ~default:0 (Hashtbl.find_opt tbl k))
 
-let locked e f =
-  Mutex.lock e.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock e.lock) f
+let bump_counter e name n = locked e (fun () -> tally e.s.named_counters name n)
 
 let add_stage_locked e stage dt =
-  Hashtbl.replace e.stage_wall stage
-    (dt +. Option.value ~default:0.0 (Hashtbl.find_opt e.stage_wall stage))
+  Hashtbl.replace e.s.stage_wall stage
+    (dt +. Option.value ~default:0.0 (Hashtbl.find_opt e.s.stage_wall stage))
 
-let execute_stage = "execute"
-let optimize_stage = "optimize"
-let tv_stage = "tv"
-
-(* disk keys: the namespaced cache key digested into a CAS key *)
-let run_store_key (target, mdigest, idigest) =
-  Cas.key_of_string (Printf.sprintf "run:%s:%s:%s" target mdigest idigest)
-
-let opt_store_key mdigest = Cas.key_of_string ("opt:" ^ mdigest)
-let tv_store_key (d1, d2) = Cas.key_of_string (Printf.sprintf "tv:%s:%s" d1 d2)
-
-(* The flat compiled kernel behind a per-digest program cache.  Lowered
-   programs are immutable and freely shareable across domains; the LRU is
-   consulted and updated under the engine lock, and the (pure) lowering
-   itself runs unlocked — a racing duplicate lowering is harmless. *)
-let compiled_program e (m : Module_ir.t) : Compile.t =
-  let d = Digest.of_module m in
-  let cached = locked e (fun () -> Lru.find e.compile_memo d) in
+(* The one memo path: memory, then the disk store (a corrupt object decodes
+   to [None], a miss), then [compute] with the mutex released.  Two domains
+   missing on the same key may both compute, but every layer is a
+   deterministic function of its key, so the duplicate insertion is
+   harmless.  A fresh compute is billed to the table's stage; only [Ok]
+   results are cached, in memory and written through to disk. *)
+let memo e tbl key compute =
+  let cached =
+    locked e (fun () ->
+        let v = Lru.find tbl.lru key in
+        if Option.is_some v then tbl.hits <- tbl.hits + 1;
+        v)
+  in
   match cached with
-  | Some p ->
-      locked e (fun () -> e.compile_hits <- e.compile_hits + 1);
-      p
-  | None ->
-      let p = Compile.lower m in
-      locked e (fun () ->
-          Lru.set e.compile_memo d p;
-          e.compiles <- e.compiles + 1);
-      p
+  | Some v -> Ok v
+  | None -> (
+      let disk =
+        match (e.store, tbl.disk) with
+        | Some cas, Some d -> Some (cas, d, Cas.key_of_string (d.store_key key))
+        | _ -> None
+      in
+      let read (cas, d, k) = Option.bind (Cas.get cas ~key:k) d.decode in
+      match Option.bind disk read with
+      | Some v ->
+          locked e (fun () ->
+              Lru.set tbl.lru key v;
+              tbl.disk_hits <- tbl.disk_hits + 1);
+          Ok v
+      | None ->
+          let t0 = Unix.gettimeofday () in
+          let r = compute () in
+          let dt = Unix.gettimeofday () -. t0 in
+          locked e (fun () ->
+              tbl.computed <- tbl.computed + 1;
+              Option.iter (fun stage -> add_stage_locked e stage dt) tbl.stage;
+              Result.iter (Lru.set tbl.lru key) r);
+          (match (r, disk) with
+          | Ok v, Some (cas, d, k) ->
+              Cas.put cas ~key:k (d.encode v);
+              locked e (fun () -> e.s.store_writes <- e.s.store_writes + 1)
+          | _ -> ());
+          r)
+
+(* [memo] for layers whose compute cannot fail *)
+let memo_total e tbl key compute =
+  Result.get_ok (memo e tbl key (fun () -> Ok (compute ())))
+
+(* Lowered programs are immutable and freely shareable across domains. *)
+let compiled_program e m =
+  memo_total e e.s.programs (Digest.of_module m) (fun () -> Compile.lower m)
 
 (* The render hook handed to [Backend.run]: it receives the post-miscompile
    module, which differs from the module the engine was asked about, so it
    is digested and lowered (through the cache) on its own. *)
 let compiled_render e m input = Compile.render_batch (compiled_program e m) input
 
-(* The mutex is released while the backend runs: two domains missing on the
-   same key may both execute, but [Backend.run] is deterministic, so the
-   duplicate insertion is harmless and the table stays consistent.  With a
-   disk store the lookup order is memory -> disk -> execute; results read
-   from or computed past the disk layer are promoted into memory, and fresh
-   executions are written through (decode failures on corrupt objects are
-   treated as misses and overwritten). *)
 let run e (t : Compilers.Target.t) (m : Module_ir.t) (input : Input.t) :
     Compilers.Backend.run_result =
   let key = (t.Compilers.Target.name, Digest.of_module m, Digest.of_input input) in
-  let cached = locked e (fun () -> Lru.find e.memo key) in
-  match cached with
-  | Some r ->
-      locked e (fun () -> e.cache_hits <- e.cache_hits + 1);
-      r
-  | None -> (
-      let from_disk =
-        match e.store with
-        | None -> None
-        | Some cas ->
-            Option.bind
-              (Cas.get cas ~key:(run_store_key key))
-              Run_codec.decode_run
+  memo_total e e.s.runs key (fun () ->
+      let r =
+        if e.use_compiled then
+          Compilers.Backend.run ~render:(compiled_render e) t m input
+        else Compilers.Backend.run t m input
       in
-      match from_disk with
-      | Some r ->
-          locked e (fun () ->
-              Lru.set e.memo key r;
-              e.store_hits <- e.store_hits + 1);
-          r
-      | None ->
-          let t0 = Unix.gettimeofday () in
-          let r =
-            if e.use_compiled then
-              Compilers.Backend.run ~render:(compiled_render e) t m input
-            else Compilers.Backend.run t m input
-          in
-          let dt = Unix.gettimeofday () -. t0 in
-          let did = (Domain.self () :> int) in
-          locked e (fun () ->
-              Lru.set e.memo key r;
-              e.runs_executed <- e.runs_executed + 1;
-              Hashtbl.replace e.domain_runs did
-                (1 + Option.value ~default:0 (Hashtbl.find_opt e.domain_runs did));
-              add_stage_locked e execute_stage dt);
-          (match e.store with
-          | None -> ()
-          | Some cas ->
-              Cas.put cas ~key:(run_store_key key) (Run_codec.encode_run r);
-              locked e (fun () -> e.store_writes <- e.store_writes + 1));
-          r)
+      let did = (Domain.self () :> int) in
+      locked e (fun () -> tally e.s.domain_runs did 1);
+      r)
 
 let baseline e (t : Compilers.Target.t) ~ref_name (m : Module_ir.t)
     (input : Input.t) : Compilers.Backend.run_result =
   let key = (t.Compilers.Target.name, ref_name) in
-  let cached = locked e (fun () -> Hashtbl.find_opt e.baselines key) in
+  let cached =
+    locked e (fun () ->
+        let r = Hashtbl.find_opt e.s.baselines key in
+        if Option.is_some r then e.s.baseline_hits <- e.s.baseline_hits + 1;
+        r)
+  in
   match cached with
-  | Some r ->
-      locked e (fun () -> e.baseline_hits <- e.baseline_hits + 1);
-      r
+  | Some r -> r
   | None ->
       let r = run e t m input in
-      locked e (fun () -> Hashtbl.replace e.baselines key r);
+      locked e (fun () -> Hashtbl.replace e.s.baselines key r);
       r
 
-(** The memoized clean [-O] step (a ROADMAP item): digest -> optimized
-    module, through memory and then the disk store.  Only the actual
-    optimizer work is billed to the ["optimize"] stage, so the stage clock
-    keeps measuring real optimization time.  Errors are not cached (the
-    clean pipeline never fails in this build). *)
 let optimize e (m : Module_ir.t) : (Module_ir.t, string) result =
-  let d = Digest.of_module m in
-  let cached = locked e (fun () -> Lru.find e.opt_memo d) in
-  match cached with
-  | Some m' ->
-      locked e (fun () -> e.opt_hits <- e.opt_hits + 1);
-      Ok m'
-  | None -> (
-      let from_disk =
-        match e.store with
-        | None -> None
-        | Some cas ->
-            Option.bind
-              (Cas.get cas ~key:(opt_store_key d))
-              Run_codec.decode_module
-      in
-      match from_disk with
-      | Some m' ->
-          (* counted under [opt_hits]: [store_hits] tracks run results only,
-             so [runs_saved]/[hit_rate] keep meaning backend executions *)
-          locked e (fun () ->
-              Lru.set e.opt_memo d m';
-              e.opt_hits <- e.opt_hits + 1);
-          Ok m'
-      | None -> (
-          let t0 = Unix.gettimeofday () in
-          let r = Compilers.Optimizer.optimize m in
-          let dt = Unix.gettimeofday () -. t0 in
-          locked e (fun () ->
-              e.opt_runs <- e.opt_runs + 1;
-              add_stage_locked e optimize_stage dt);
-          match r with
-          | Ok m' ->
-              locked e (fun () -> Lru.set e.opt_memo d m');
-              (match e.store with
-              | None -> ()
-              | Some cas ->
-                  Cas.put cas ~key:(opt_store_key d) (Run_codec.encode_module m');
-                  locked e (fun () -> e.store_writes <- e.store_writes + 1));
-              Ok m'
-          | Error _ as err -> err))
-
-(** Memoized translation validation, keyed by the (before, after) module
-    digest pair through memory and then the disk store.  Verdict soundness
-    under memoization: {!Compilers.Tv.check_pass} is a deterministic
-    function of the two modules, the codec round-trips exactly, and
-    content-addressing makes the digest pair a faithful key — so a cached
-    verdict is the verdict.  Equal digests short-circuit to [Equivalent]
-    (a pass that changed nothing proved itself). *)
-let tv_check_uncounted e ~(before : Module_ir.t) ~(after : Module_ir.t) :
-    Compilers.Tv.verdict =
-  let d1 = Digest.of_module before in
-  let d2 = Digest.of_module after in
-  locked e (fun () -> e.tv_checks <- e.tv_checks + 1);
-  if String.equal d1 d2 then begin
-    locked e (fun () -> e.tv_hits <- e.tv_hits + 1);
-    Compilers.Tv.Equivalent
-  end
-  else
-    let key = (d1, d2) in
-    let cached = locked e (fun () -> Lru.find e.tv_memo key) in
-    match cached with
-    | Some v ->
-        locked e (fun () -> e.tv_hits <- e.tv_hits + 1);
-        v
-    | None -> (
-        let from_disk =
-          match e.store with
-          | None -> None
-          | Some cas ->
-              Option.bind
-                (Cas.get cas ~key:(tv_store_key key))
-                Run_codec.decode_verdict
-        in
-        match from_disk with
-        | Some v ->
-            locked e (fun () ->
-                Lru.set e.tv_memo key v;
-                e.tv_hits <- e.tv_hits + 1);
-            v
-        | None ->
-            let t0 = Unix.gettimeofday () in
-            let v, proofs = Compilers.Tv.check_pass_counted before after in
-            let dt = Unix.gettimeofday () -. t0 in
-            (* fresh computes only: a memoized verdict re-proves nothing *)
-            if proofs > 0 then bump_counter e "mem-proofs" proofs;
-            locked e (fun () ->
-                Lru.set e.tv_memo key v;
-                add_stage_locked e tv_stage dt);
-            (match e.store with
-            | None -> ()
-            | Some cas ->
-                Cas.put cas ~key:(tv_store_key key) (Run_codec.encode_verdict v);
-                locked e (fun () -> e.store_writes <- e.store_writes + 1));
-            v)
+  memo e e.s.opts (Digest.of_module m) (fun () ->
+      Compilers.Optimizer.optimize m)
 
 let tv_check e ~(before : Module_ir.t) ~(after : Module_ir.t) :
     Compilers.Tv.verdict =
-  let v = tv_check_uncounted e ~before ~after in
+  let d1 = Digest.of_module before in
+  let d2 = Digest.of_module after in
+  let v =
+    if String.equal d1 d2 then begin
+      (* a pass that changed nothing proved itself: a check served as a hit *)
+      locked e (fun () -> e.s.tvs.hits <- e.s.tvs.hits + 1);
+      Compilers.Tv.Equivalent
+    end
+    else
+      memo_total e e.s.tvs (d1, d2) (fun () ->
+          let v, proofs = Compilers.Tv.check_pass_counted before after in
+          (* fresh computes only: a memoized verdict re-proves nothing *)
+          if proofs > 0 then bump_counter e "mem-proofs" proofs;
+          v)
+  in
   (* bucket abstentions by their structured Symval reason (the payload's
-     label prefix); bump_counter takes the engine lock itself, so this
-     must stay outside any [locked] block *)
+     label prefix) *)
   (match Compilers.Tv.abstain_label v with
   | Some label -> bump_counter e ("tv-abstain:" ^ label) 1
   | None -> ());
@@ -336,67 +266,50 @@ let timed e ~stage f =
       locked e (fun () -> add_stage_locked e stage dt))
     f
 
+let sorted_bindings cmp tbl =
+  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+  |> List.sort (fun (a, _) (b, _) -> cmp a b)
+
+(* Every counter is projected from the tables: a TV check is a hit (memory,
+   disk or equal digests) or a fresh compute. *)
 let stats e : stats =
   locked e (fun () ->
-      let runs_saved = e.cache_hits + e.baseline_hits + e.store_hits in
-      let looked_up = runs_saved + e.runs_executed in
+      let s = e.s in
+      let served tbl = tbl.hits + tbl.disk_hits in
+      let entries tbl = Lru.length tbl.lru in
+      let evictions tbl = Lru.evictions tbl.lru in
+      let runs_saved = s.runs.hits + s.baseline_hits + s.runs.disk_hits in
+      let looked_up = runs_saved + s.runs.computed in
       {
-        runs_executed = e.runs_executed;
-        cache_hits = e.cache_hits;
-        baseline_hits = e.baseline_hits;
-        opt_runs = e.opt_runs;
-        opt_hits = e.opt_hits;
-        store_hits = e.store_hits;
-        store_writes = e.store_writes;
-        tv_checks = e.tv_checks;
-        tv_hits = e.tv_hits;
-        compiles = e.compiles;
-        compile_hits = e.compile_hits;
+        runs_executed = s.runs.computed;
+        cache_hits = s.runs.hits;
+        baseline_hits = s.baseline_hits;
+        opt_runs = s.opts.computed;
+        opt_hits = served s.opts;
+        store_hits = s.runs.disk_hits;
+        store_writes = s.store_writes;
+        tv_checks = served s.tvs + s.tvs.computed;
+        tv_hits = served s.tvs;
+        compiles = s.programs.computed;
+        compile_hits = s.programs.hits;
         memo_entries =
-          Lru.length e.memo + Lru.length e.opt_memo + Lru.length e.tv_memo
-          + Lru.length e.compile_memo;
+          entries s.runs + entries s.opts + entries s.tvs + entries s.programs;
         memo_capacity = e.memo_capacity;
         memo_evictions =
-          Lru.evictions e.memo + Lru.evictions e.opt_memo
-          + Lru.evictions e.tv_memo + Lru.evictions e.compile_memo;
+          evictions s.runs + evictions s.opts + evictions s.tvs
+          + evictions s.programs;
         runs_saved;
         hit_rate =
           (if looked_up = 0 then 0.0
            else float_of_int runs_saved /. float_of_int looked_up);
         execute_wall =
-          Option.value ~default:0.0 (Hashtbl.find_opt e.stage_wall execute_stage);
-        stages =
-          Hashtbl.fold (fun k v acc -> (k, v) :: acc) e.stage_wall []
-          |> List.sort (fun (a, _) (b, _) -> String.compare a b);
-        per_domain_runs =
-          Hashtbl.fold (fun k v acc -> (k, v) :: acc) e.domain_runs []
-          |> List.sort (fun (a, _) (b, _) -> compare a b);
-        counters =
-          Hashtbl.fold (fun k v acc -> (k, v) :: acc) e.named_counters []
-          |> List.sort (fun (a, _) (b, _) -> String.compare a b);
+          Option.value ~default:0.0 (Hashtbl.find_opt s.stage_wall execute_stage);
+        stages = sorted_bindings String.compare s.stage_wall;
+        per_domain_runs = sorted_bindings compare s.domain_runs;
+        counters = sorted_bindings String.compare s.named_counters;
       })
 
-let reset e =
-  locked e (fun () ->
-      e.memo <- Lru.create ~capacity:e.memo_capacity;
-      e.opt_memo <- Lru.create ~capacity:e.memo_capacity;
-      e.tv_memo <- Lru.create ~capacity:e.memo_capacity;
-      e.compile_memo <- Lru.create ~capacity:e.memo_capacity;
-      Hashtbl.reset e.baselines;
-      Hashtbl.reset e.stage_wall;
-      Hashtbl.reset e.domain_runs;
-      Hashtbl.reset e.named_counters;
-      e.runs_executed <- 0;
-      e.cache_hits <- 0;
-      e.baseline_hits <- 0;
-      e.opt_runs <- 0;
-      e.opt_hits <- 0;
-      e.store_hits <- 0;
-      e.store_writes <- 0;
-      e.tv_checks <- 0;
-      e.tv_hits <- 0;
-      e.compiles <- 0;
-      e.compile_hits <- 0)
+let reset e = locked e (fun () -> e.s <- fresh_state e.memo_capacity)
 
 let pp_stats fmt (s : stats) =
   Format.fprintf fmt

@@ -2,19 +2,34 @@
     through an explicit [Engine.t] instead of calling
     {!Compilers.Backend.run} directly.
 
-    The engine holds a content-addressed memo table mapping
-    [(target, module digest, input digest)] to the backend's run result,
-    plus the baseline cache for original-program runs (keyed by
-    [(target, reference name)]) and a memo table for the clean [-O]
-    optimization step (module digest -> optimized module).  All stores are
-    guarded by a mutex, so one engine may be shared by several OCaml 5
-    domains — the domain-parallel campaigns of {!Experiments} do exactly
-    that.
+    The engine is a set of memoized layers behind one memory -> disk ->
+    compute path.  Each layer is a table: a bounded in-memory LRU, an
+    optional namespace in the disk store, and the stage its fresh computes
+    are billed to.
+
+    {ul
+    {- runs ({!run}): [(target, module digest, input digest)] -> run
+       result; disk namespace [run:]; stage ["execute"].}
+    {- the clean [-O] step ({!optimize}): module digest -> optimized
+       module; [opt:]; ["optimize"].}
+    {- translation validation ({!tv_check}): [(before digest, after
+       digest)] -> verdict; [tv:]; ["tv"].}
+    {- compiled programs for the flat execution kernel: module digest ->
+       lowered program; memory only; no stage.}}
+
+    A lookup tries memory, then the disk store, then computes with the
+    mutex released; only successful results are cached, in memory and
+    written through to disk.  Every hit and compute counter in {!stats} is
+    projected from the tables.  Beside them sits the baseline cache for
+    original-program runs, keyed by [(target, reference name)] — a name,
+    not a content digest, so it is a plain table.  All state is guarded by
+    one mutex, so one engine may be shared by several OCaml 5 domains — the
+    domain-parallel campaigns of {!Experiments} do exactly that.
 
     The in-memory tables are bounded: {!create}'s [memo_capacity] caps the
-    entry count and least-recently-used entries are evicted past it
-    (surfaced as [memo_evictions] in {!stats}), so a long-running service
-    no longer grows without bound.
+    entry count of each and least-recently-used entries are evicted past
+    it (surfaced as [memo_evictions] in {!stats}), so a long-running
+    service does not grow without bound.
 
     With [?store] the engine becomes durable: misses read through to a
     {!Tbct_store.Cas} on disk, and fresh results are written through, so a
@@ -29,10 +44,9 @@
     set of transformations delta debugging keeps — cannot be affected by
     cache hits.
 
-    The engine also keeps per-stage wall-clock accounting: {!run} bills
-    backend executions to the ["execute"] stage, {!optimize} bills actual
-    optimizer work to ["optimize"], and callers wrap other phases with
-    {!timed}. *)
+    The engine also keeps per-stage wall-clock accounting: each layer bills
+    its fresh computes to its stage (memory and disk hits cost nothing
+    there), and callers wrap other phases with {!timed}. *)
 
 open Spirv_ir
 
@@ -59,7 +73,7 @@ type stats = {
   stages : (string * float) list;
       (** cumulative wall-clock per stage, sorted by stage name;
           ["execute"] is maintained by {!run}, ["optimize"] by
-          {!optimize}, others by {!timed} *)
+          {!optimize}, ["tv"] by {!tv_check}, others by {!timed} *)
   per_domain_runs : (int * int) list;
       (** backend executions per OCaml domain id, sorted by id — how
           evenly a {!Pool}'s workers shared the execute load; summed it
@@ -76,7 +90,7 @@ val default_memo_capacity : int
 val create :
   ?store:Tbct_store.Cas.t -> ?memo_capacity:int -> ?compiled:bool -> unit -> t
 (** A fresh engine with empty caches and zeroed counters.  [store] makes
-    the run cache and the optimize cache read-through/write-through to the
+    the run, optimize and TV layers read-through/write-through to the
     given on-disk CAS; [memo_capacity] (default
     {!default_memo_capacity}) bounds each in-memory table.
 
@@ -107,19 +121,19 @@ val baseline : t -> Compilers.Target.t -> ref_name:string ->
 
 val optimize : t -> Module_ir.t -> (Module_ir.t, string) result
 (** The clean [-O] pipeline, memoized by module digest through the same
-    memory/disk path as runs — closing the ROADMAP item.  Only actual
-    optimizer work is billed to the ["optimize"] stage; errors are not
-    cached. *)
+    memory/disk path as runs; disk hits count under [opt_hits], not
+    [store_hits].  Only actual optimizer work is billed to the
+    ["optimize"] stage; errors are not cached. *)
 
 val tv_check : t -> before:Module_ir.t -> after:Module_ir.t ->
   Compilers.Tv.verdict
 (** Translation validation ({!Compilers.Tv.check_pass}), memoized by the
     [(digest before, digest after)] pair: equal digests short-circuit to
-    [Equivalent], then the in-memory LRU, then the disk store (if any),
-    then symbolic validation billed to the ["tv"] stage and written
-    through.  Sound for the same reason run memoization is: [check_pass]
-    is a deterministic function of the two modules and the verdict codec
-    is exact. *)
+    [Equivalent] (counted as a check and a hit), then the in-memory LRU,
+    then the disk store (if any), then symbolic validation billed to the
+    ["tv"] stage and written through.  Sound for the same reason run
+    memoization is: [check_pass] is a deterministic function of the two
+    modules and the verdict codec is exact. *)
 
 val timed : t -> stage:string -> (unit -> 'a) -> 'a
 (** Run a thunk and add its wall-clock time to the named stage. *)

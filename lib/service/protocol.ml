@@ -91,5 +91,21 @@ let parse_request line =
       | Some "shutdown" -> Ok Shutdown
       | Some other -> Error (Printf.sprintf "unknown command %S" other))
 
+let max_line_bytes = 1 lsl 20
+
+let frame pending chunk =
+  let rec go start acc =
+    match String.index_from_opt chunk start '\n' with
+    | Some i ->
+        Buffer.add_substring pending chunk start (i - start);
+        let line = Buffer.contents pending in
+        Buffer.clear pending;
+        go (i + 1) (line :: acc)
+    | None ->
+        Buffer.add_substring pending chunk start (String.length chunk - start);
+        (List.rev acc, Buffer.length pending > max_line_bytes)
+  in
+  go 0 []
+
 let ok fields = Json.Obj (("ok", Json.Bool true) :: fields)
 let error msg = Json.Obj [ ("ok", Json.Bool false); ("error", Json.Str msg) ]

@@ -38,6 +38,20 @@ val encode_request : request -> string
 
 val parse_request : string -> (request, string) result
 
+(** {1 Framing} *)
+
+val max_line_bytes : int
+(** The longest partial line the daemon buffers for one client (1 MiB). *)
+
+val frame : Buffer.t -> string -> string list * bool
+(** [frame pending chunk] appends freshly read bytes to the partial line
+    held in [pending] and returns the lines they complete, in order,
+    without their newlines; the unterminated tail stays in [pending].  Only
+    [chunk] is scanned, so a long line costs linear time however it is
+    split.  The flag is [true] when the tail is longer than
+    {!max_line_bytes}: the daemon then replies with an {!error} and drops
+    the client. *)
+
 (** {1 Reply builders} *)
 
 val ok : (string * Json.t) list -> Json.t

@@ -96,11 +96,8 @@ let engine_json (s : Harness.Engine.stats) =
       ("execute_wall", Json.Float s.Harness.Engine.execute_wall);
       ( "counters",
         Json.Obj
-          (List.map
-             (fun (k, v) -> (k, Json.Int v))
-             (List.sort
-                (fun (a, _) (b, _) -> String.compare a b)
-                s.Harness.Engine.counters)) );
+          (List.map (fun (k, v) -> (k, Json.Int v)) s.Harness.Engine.counters)
+      );
     ]
 
 let pool_json pool =
@@ -268,24 +265,22 @@ let handle_line srv pool c line =
     | Error msg -> send_json srv c (Protocol.error msg)
 
 (* Drain whatever bytes are ready into the client's line buffer and
-   process every complete line. *)
+   process every complete line; a client whose partial line outgrows the
+   cap is told so and dropped, and the others keep being served. *)
 let read_chunk srv pool c =
   let chunk = Bytes.create 4096 in
   match Unix.read c.fd chunk 0 (Bytes.length chunk) with
   | 0 -> c.alive <- false
   | n ->
-      Buffer.add_subbytes c.buf chunk 0 n;
-      let data = Buffer.contents c.buf in
-      Buffer.clear c.buf;
-      let parts = String.split_on_char '\n' data in
-      let rec go = function
-        | [] -> ()
-        | [ tail ] -> Buffer.add_string c.buf tail  (* partial line *)
-        | line :: rest ->
-            handle_line srv pool c line;
-            go rest
-      in
-      go parts
+      let lines, over_cap = Protocol.frame c.buf (Bytes.sub_string chunk 0 n) in
+      List.iter (handle_line srv pool c) lines;
+      if over_cap then begin
+        send_json srv c
+          (Protocol.error
+             (Printf.sprintf "request line longer than %d bytes"
+                Protocol.max_line_bytes));
+        c.alive <- false
+      end
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   | exception Unix.Unix_error _ -> c.alive <- false
 

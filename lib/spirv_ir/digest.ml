@@ -15,6 +15,3 @@ let hex s = Stdlib.Digest.to_hex (Stdlib.Digest.string s)
 let of_module (m : Module_ir.t) : string = hex (Disasm.to_string m)
 
 let of_input (input : Input.t) : string = hex (Input.to_string input)
-
-let of_run (m : Module_ir.t) (input : Input.t) : string =
-  hex (of_module m ^ ":" ^ of_input input)

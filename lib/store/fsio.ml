@@ -7,7 +7,9 @@
     gives exactly that.  [fsync] is optional — content-addressed objects can
     always be recomputed, so the default trades durability of the last few
     writes for speed; pass [~fsync:true] for journals that must survive
-    power loss rather than mere process death. *)
+    power loss rather than mere process death: it syncs the file before the
+    rename and the containing directory after it, so the rename itself is
+    durable too. *)
 
 let tmp_counter = Atomic.make 0
 
@@ -54,7 +56,13 @@ let write_atomic ?(fsync = false) ~path data =
           !written + Unix.write_substring fd data !written (n - !written)
       done;
       if fsync then Unix.fsync fd);
-  Unix.rename tmp path
+  Unix.rename tmp path;
+  if fsync then begin
+    let dir = Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY ] 0 in
+    Fun.protect
+      ~finally:(fun () -> try Unix.close dir with Unix.Unix_error _ -> ())
+      (fun () -> Unix.fsync dir)
+  end
 
 let remove_if_exists path = try Sys.remove path with Sys_error _ -> ()
 

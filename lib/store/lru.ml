@@ -2,10 +2,9 @@
     list for recency order.  All operations are O(1); eviction removes the
     least-recently-used binding and bumps a counter.
 
-    This is the explicit eviction policy behind both the engine's in-memory
-    memo tables (previously unbounded — a long-running service would grow
-    without limit) and the bookkeeping of {!Cas}.  Not thread-safe: callers
-    (the engine, the CAS) already serialize access under their own mutex. *)
+    This is the eviction policy behind the engine's in-memory memo tables,
+    so a long-running service does not grow without limit.  Not
+    thread-safe: the engine serializes access under its own mutex. *)
 
 type ('k, 'v) node = {
   key : 'k;
@@ -32,10 +31,8 @@ let create ~capacity =
     evictions = 0;
   }
 
-let capacity t = t.capacity
 let length t = Hashtbl.length t.table
 let evictions t = t.evictions
-let mem t k = Hashtbl.mem t.table k
 
 let unlink t node =
   (match node.prev with
@@ -61,21 +58,13 @@ let find t k =
       push_front t node;
       Some node.value
 
-let remove t k =
-  match Hashtbl.find_opt t.table k with
+let evict_lru t =
+  match t.tail with
   | None -> ()
   | Some node ->
       unlink t node;
-      Hashtbl.remove t.table k
-
-let evict_lru t =
-  match t.tail with
-  | None -> None
-  | Some node ->
-      unlink t node;
       Hashtbl.remove t.table node.key;
-      t.evictions <- t.evictions + 1;
-      Some (node.key, node.value)
+      t.evictions <- t.evictions + 1
 
 let set t k v =
   (match Hashtbl.find_opt t.table k with
@@ -88,18 +77,5 @@ let set t k v =
       Hashtbl.replace t.table k node;
       push_front t node);
   while Hashtbl.length t.table > t.capacity do
-    ignore (evict_lru t)
+    evict_lru t
   done
-
-let clear t =
-  Hashtbl.reset t.table;
-  t.head <- None;
-  t.tail <- None
-
-(** Keys from most- to least-recently used (for tests). *)
-let keys_mru_first t =
-  let rec go acc = function
-    | None -> List.rev acc
-    | Some node -> go (node.key :: acc) node.next
-  in
-  go [] t.head

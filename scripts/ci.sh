@@ -20,6 +20,18 @@ if grep -rn "baseline_cache" lib/harness; then
   exit 1
 fi
 
+# one-memo-path invariant: every memoized engine layer (runs, the clean -O
+# step, TV verdicts, compiled programs) is a table served by Engine.memo,
+# the only place the engine reads or writes the disk store, so a new layer
+# cannot grow its own memory -> disk -> compute ladder
+for call in "Cas\.get" "Cas\.put"; do
+  if [ "$(grep -c "$call" lib/harness/engine.ml)" -ne 1 ]; then
+    echo "CI: $call must appear exactly once in lib/harness/engine.ml," \
+         "inside the one memo path" >&2
+    exit 1
+  fi
+done
+
 # compiled-kernel invariant: the engine hot path executes through the flat
 # compiled kernel (one-time lowering, per-digest program cache); the
 # tree-walking interpreter stays out of lib/harness — it is the

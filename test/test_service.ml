@@ -178,6 +178,103 @@ let test_protocol_errors () =
   | Ok _ -> Alcotest.fail "attach without job accepted"
 
 (* ------------------------------------------------------------------ *)
+(* Line framing *)
+
+let check_lines msg expected (lines, over_cap) =
+  Alcotest.(check (list string)) msg expected lines;
+  Alcotest.(check bool) (msg ^ ": under the cap") false over_cap
+
+let test_frame_split_line () =
+  let pending = Buffer.create 16 in
+  check_lines "first half completes nothing" []
+    (Protocol.frame pending "{\"cmd\":");
+  check_lines "byte by byte" [] (Protocol.frame pending "\"");
+  check_lines "second half completes the line" [ "{\"cmd\":\"ping\"}" ]
+    (Protocol.frame pending "ping\"}\n");
+  Alcotest.(check string) "nothing pending" "" (Buffer.contents pending)
+
+let test_frame_many_lines () =
+  let pending = Buffer.create 16 in
+  check_lines "every complete line, in order" [ "a"; "b"; ""; "c" ]
+    (Protocol.frame pending "a\nb\n\nc\nd");
+  Alcotest.(check string) "tail pending" "d" (Buffer.contents pending);
+  check_lines "tail joins the next chunk" [ "de"; "f" ]
+    (Protocol.frame pending "e\nf\n")
+
+let test_frame_over_cap () =
+  let pending = Buffer.create 16 in
+  let at_cap = String.make Protocol.max_line_bytes 'x' in
+  check_lines "a pending line at the cap is kept" []
+    (Protocol.frame pending at_cap);
+  let lines, over_cap = Protocol.frame pending "x" in
+  Alcotest.(check (list string)) "no line completed" [] lines;
+  Alcotest.(check bool) "one byte more is over the cap" true over_cap;
+  (* only the unterminated tail counts: a long complete line is a line *)
+  let pending = Buffer.create 16 in
+  let long = at_cap ^ "x" in
+  check_lines "complete long line" [ long ] (Protocol.frame pending (long ^ "\n"))
+
+(* A live daemon answers an over-cap client with an error and drops it,
+   while another client's requests keep being served. *)
+let test_server_drops_over_cap_client () =
+  let root = fresh_dir () in
+  let socket = Filename.concat root "s" in
+  Tbct_store.Fsio.ensure_dir root;
+  let daemon =
+    Domain.spawn (fun () ->
+        Tbct_service.Server.run ~tick:0.02 ~root ~socket ~domains:1 ())
+  in
+  let rec connect tries =
+    match Tbct_service.Client.connect ~path:socket with
+    | Ok c -> c
+    | Error e when tries = 0 -> Alcotest.fail e
+    | Error _ ->
+        Unix.sleepf 0.02;
+        connect (tries - 1)
+  in
+  let polite = connect 250 in
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let hog = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect hog (Unix.ADDR_UNIX socket);
+  (* a daemon that never answers fails the test instead of hanging it *)
+  Unix.setsockopt_float hog Unix.SO_RCVTIMEO 10.0;
+  let line = Bytes.make (2 * Protocol.max_line_bytes) 'x' in
+  let rec write off =
+    if off < Bytes.length line then
+      match Unix.write hog line off (Bytes.length line - off) with
+      | n -> write (off + n)
+      | exception Unix.Unix_error _ -> ()  (* the daemon hung up *)
+  in
+  write 0;
+  let reply = Buffer.create 64 in
+  let chunk = Bytes.create 4096 in
+  let rec read () =
+    match Unix.read hog chunk 0 (Bytes.length chunk) with
+    | 0 -> ()
+    | n ->
+        Buffer.add_subbytes reply chunk 0 n;
+        read ()
+    | exception Unix.Unix_error _ -> ()
+  in
+  read ();
+  Unix.close hog;
+  (match Json.of_string (String.trim (Buffer.contents reply)) with
+  | Ok v ->
+      Alcotest.(check (option bool)) "over-cap client gets an error reply"
+        (Some false) (Json.mem_bool "ok" v)
+  | Error e -> Alcotest.failf "no error reply before the hang-up: %s" e);
+  (match Tbct_service.Client.request polite Protocol.Ping with
+  | Ok v ->
+      Alcotest.(check (option bool)) "other client still served" (Some true)
+        (Json.mem_bool "ok" v)
+  | Error e -> Alcotest.failf "ping failed: %s" e);
+  ignore (Tbct_service.Client.request polite Protocol.Shutdown);
+  Tbct_service.Client.close polite;
+  match Domain.join daemon with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "daemon failed: %s" e
+
+(* ------------------------------------------------------------------ *)
 (* Job store *)
 
 let record id seeds : Jobs.record =
@@ -467,6 +564,16 @@ let () =
       ( "protocol",
         qcheck [ test_protocol_roundtrip ]
         @ [ Alcotest.test_case "bad requests" `Quick test_protocol_errors ] );
+      ( "framing",
+        [
+          Alcotest.test_case "line split across chunks" `Quick
+            test_frame_split_line;
+          Alcotest.test_case "many lines in one chunk" `Quick
+            test_frame_many_lines;
+          Alcotest.test_case "over-cap line" `Quick test_frame_over_cap;
+          Alcotest.test_case "daemon drops an over-cap client" `Quick
+            test_server_drops_over_cap_client;
+        ] );
       ( "jobs-store",
         [
           Alcotest.test_case "round trip + monotonic ids" `Quick

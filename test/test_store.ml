@@ -196,6 +196,17 @@ let test_cas_basics () =
   Alcotest.(check int) "fresh handle indexed the object" 1 s.Cas.objects;
   Alcotest.(check int) "bytes accounted" (String.length "payload") s.Cas.bytes
 
+let test_fsio_fsync_nested_dir () =
+  let path =
+    List.fold_left Filename.concat (fresh_dir ()) [ "a"; "b"; "object" ]
+  in
+  Tbct_store.Fsio.write_atomic ~fsync:true ~path "durable payload";
+  Alcotest.(check (option string)) "read back after a synced write"
+    (Some "durable payload") (Tbct_store.Fsio.read_file path);
+  Tbct_store.Fsio.write_atomic ~fsync:true ~path "replaced";
+  Alcotest.(check (option string)) "synced overwrite read back"
+    (Some "replaced") (Tbct_store.Fsio.read_file path)
+
 let test_cas_size_bound_on_put () =
   let root = fresh_dir () in
   (* each object is 10 bytes; bound at 35 keeps at most 3 *)
@@ -462,6 +473,106 @@ let test_engine_tv_memoized () =
   Alcotest.(check bool) "no symbolic validation billed on the warm engine" true
     (List.assoc_opt "tv" s2.Harness.Engine.stages = None)
 
+(* The counter semantics shared by every memo layer, pinned on one small
+   fixed --tv campaign run three ways: memory only, against a cold CAS, and
+   again against the now-warm CAS.  The campaign's own modules never yield
+   a memory proof, so each engine then also validates a fixed fuzzed
+   variant of every memory-corpus module against its -O output. *)
+let tv_workload engine =
+  let scale =
+    { Harness.Experiments.default_scale with Harness.Experiments.seeds = 8 }
+  in
+  let hits =
+    Harness.Experiments.run_campaign ~scale ~engine ~tv:true
+      Harness.Pipeline.Spirv_fuzz_tool
+  in
+  List.iter
+    (fun (name, m) ->
+      let ctx = Spirv_fuzz.Context.make m Corpus.default_input in
+      let v = (Spirv_fuzz.Fuzzer.run ~seed:1 ctx).final.Spirv_fuzz.Context.m in
+      match Harness.Engine.optimize engine v with
+      | Ok v' -> ignore (Harness.Engine.tv_check engine ~before:v ~after:v')
+      | Error e -> Alcotest.failf "optimize %s failed: %s" name e)
+    Corpus.memory_references;
+  (hits, Harness.Engine.stats engine)
+
+let test_engine_counter_semantics () =
+  let open Harness.Engine in
+  let dir = fresh_dir () in
+  let hits_mem, mem = tv_workload (create ()) in
+  let hits_cold, cold =
+    tv_workload (create ~store:(Harness.Persist.open_cas ~dir ()) ())
+  in
+  let warm_engine = create ~store:(Harness.Persist.open_cas ~dir ()) () in
+  let hits_warm, warm = tv_workload warm_engine in
+  let check_int msg a b = Alcotest.(check int) msg a b in
+  let counter name (s : stats) =
+    Option.value ~default:0 (List.assoc_opt name s.counters)
+  in
+  let without_proofs (s : stats) =
+    List.filter (fun (k, _) -> k <> "mem-proofs") s.counters
+  in
+  Alcotest.(check bool) "hits identical memory-only / cold / warm" true
+    (hits_mem = hits_cold && hits_cold = hits_warm);
+  (* memory-only and cold CAS compute exactly the same things *)
+  List.iter
+    (fun (msg, f) -> check_int ("memory-only = cold: " ^ msg) (f mem) (f cold))
+    [
+      ("runs_executed", fun s -> s.runs_executed);
+      ("cache_hits", fun s -> s.cache_hits);
+      ("baseline_hits", fun s -> s.baseline_hits);
+      ("opt_runs", fun s -> s.opt_runs);
+      ("opt_hits", fun s -> s.opt_hits);
+      ("tv_checks", fun s -> s.tv_checks);
+      ("tv_hits", fun s -> s.tv_hits);
+      ("compiles", fun s -> s.compiles);
+      ("compile_hits", fun s -> s.compile_hits);
+      ("mem-proofs", counter "mem-proofs");
+    ];
+  Alcotest.(check (list (pair string int))) "memory-only = cold: counters"
+    mem.counters cold.counters;
+  check_int "memory-only: no store hits" 0 mem.store_hits;
+  check_int "memory-only: no store writes" 0 mem.store_writes;
+  check_int "cold: no store hits" 0 cold.store_hits;
+  Alcotest.(check bool) "fresh TV computes prove memory accesses" true
+    (counter "mem-proofs" cold > 0);
+  (* write-through: one object per fresh run, optimization and non-trivial
+     TV verdict; equal-digest checks count as hits and write nothing, and
+     lowered programs are never written *)
+  Alcotest.(check bool) "programs were lowered" true (cold.compiles > 0);
+  check_int "cold: store writes = fresh runs + opts + verdicts"
+    (cold.runs_executed + cold.opt_runs + (cold.tv_checks - cold.tv_hits))
+    cold.store_writes;
+  (* warm CAS: nothing is executed, optimized or symbolically validated *)
+  check_int "warm: zero runs executed" 0 warm.runs_executed;
+  check_int "warm: zero optimizations" 0 warm.opt_runs;
+  check_int "warm: zero programs lowered" 0 warm.compiles;
+  check_int "warm: zero store writes" 0 warm.store_writes;
+  Alcotest.(check (list string)) "warm: only generate billed" [ "generate" ]
+    (List.map fst warm.stages);
+  check_int "warm: run disk hits under store_hits" cold.runs_executed
+    warm.store_hits;
+  check_int "warm: memory run hits unchanged" cold.cache_hits warm.cache_hits;
+  check_int "warm: baseline hits unchanged" cold.baseline_hits
+    warm.baseline_hits;
+  check_int "warm: optimize disk hits under opt_hits"
+    (cold.opt_runs + cold.opt_hits) warm.opt_hits;
+  check_int "warm: same TV checks" cold.tv_checks warm.tv_checks;
+  check_int "warm: every TV check is a hit" warm.tv_checks warm.tv_hits;
+  check_int "warm: mem-proofs only on fresh computes" 0
+    (counter "mem-proofs" warm);
+  Alcotest.(check (list (pair string int))) "warm: other counters unchanged"
+    (without_proofs cold) (without_proofs warm);
+  (* an equal-digest check is both a check and a hit, and validates nothing *)
+  let m = Lazy.force gradient in
+  ignore (tv_check warm_engine ~before:m ~after:m);
+  let s = stats warm_engine in
+  check_int "equal digests: one more check" (warm.tv_checks + 1) s.tv_checks;
+  check_int "equal digests: one more hit" (warm.tv_hits + 1) s.tv_hits;
+  check_int "equal digests: nothing written" 0 s.store_writes;
+  Alcotest.(check bool) "equal digests: nothing billed to tv" true
+    (List.assoc_opt "tv" s.stages = None)
+
 (* ------------------------------------------------------------------ *)
 (* Campaign persistence: kill and resume *)
 
@@ -631,6 +742,8 @@ let () =
         qcheck [ qcheck_cas_roundtrip ]
         @ [
             Alcotest.test_case "basics & persistence" `Quick test_cas_basics;
+            Alcotest.test_case "fsync write into a fresh nested dir" `Quick
+              test_fsio_fsync_nested_dir;
             Alcotest.test_case "size bound on put" `Quick
               test_cas_size_bound_on_put;
             Alcotest.test_case "gc evicts LRU first" `Quick
@@ -667,6 +780,8 @@ let () =
             test_engine_store_shares_runs_and_opts;
           Alcotest.test_case "tv verdicts memoized (memory + disk)" `Quick
             test_engine_tv_memoized;
+          Alcotest.test_case "counter semantics: memory, cold and warm CAS"
+            `Quick test_engine_counter_semantics;
         ] );
       ( "resume",
         [
