@@ -15,16 +15,39 @@ type run_result =
   | Compiled_ok                (** tooling target, no execution *)
   | Crashed of string          (** crash signature *)
 
-(** Ground truth for experiments: which injected bug produced a crash
-    signature (None for real faults such as validation failures, which get
-    a derived signature).
+(** The optimize+validate stage: the target's pipeline (possibly crashing
+    via an injected optimizer bug), then validation of its output.  It reads
+    only the target's [pipeline] and [opt_flags], so it is a pure function
+    of (pipeline, flags, module) — the harness engine memoizes it across
+    targets that share a pipeline. *)
+type optimized =
+  | Opt_crashed of string
+  | Optimized of { optimized : Module_ir.t; invalid : string option }
 
-    [render] is the execution kernel applied to the post-miscompile module;
-    it defaults to the reference interpreter.  The harness engine passes
-    the flat compiled kernel here (with its per-digest program cache) —
-    any substitute must be observably bit-identical to [Interp.render]. *)
-let run ?(render = fun m input -> Interp.render m input) (t : Target.t)
-    (m : Module_ir.t) (input : Input.t) : run_result =
+let optimize_validate (t : Target.t) (m : Module_ir.t) : optimized =
+  match Optimizer.run ~flags:t.Target.opt_flags t.Target.pipeline m with
+  | exception Opt_util.Compiler_crash signature -> Opt_crashed signature
+  | optimized ->
+      let invalid =
+        match Validate.check optimized with
+        | Ok () -> None
+        | Error (e :: _) ->
+            Some ("optimizer emitted invalid module: " ^ Validate.error_to_string e)
+        | Error [] -> Some "optimizer emitted invalid module"
+      in
+      Optimized { optimized; invalid }
+
+(** The one definition of the stage order: front triggers, optimize,
+    back triggers, validate, rewrite, render.
+
+    [optimize] is the optimize+validate stage; it defaults to
+    {!optimize_validate} on [t].  [render] is the execution kernel applied
+    to the post-miscompile module; it defaults to the reference
+    interpreter.  The harness engine passes memoized substitutes for both
+    — any substitute must be observably identical to the default. *)
+let run ?optimize ?(render = fun m input -> Interp.render m input)
+    (t : Target.t) (m : Module_ir.t) (input : Input.t) : run_result =
+  let optimize = Option.value optimize ~default:(optimize_validate t) in
   let check_phase phase m =
     List.find_map
       (fun id ->
@@ -37,18 +60,15 @@ let run ?(render = fun m input -> Interp.render m input) (t : Target.t)
   match check_phase Bug.Before_opt m with
   | Some signature -> Crashed signature
   | None -> (
-      match Optimizer.run ~flags:t.Target.opt_flags t.Target.pipeline m with
-      | exception Opt_util.Compiler_crash signature -> Crashed signature
-      | optimized -> (
+      match optimize m with
+      | Opt_crashed signature -> Crashed signature
+      | Optimized { optimized; invalid } -> (
           match check_phase Bug.After_opt optimized with
           | Some signature -> Crashed signature
           | None -> (
-              match Validate.check optimized with
-              | Error (e :: _) ->
-                  Crashed
-                    ("optimizer emitted invalid module: " ^ Validate.error_to_string e)
-              | Error [] -> Crashed "optimizer emitted invalid module"
-              | Ok () ->
+              match invalid with
+              | Some signature -> Crashed signature
+              | None ->
                   if not t.Target.executes then Compiled_ok
                   else begin
                     let corrupted =

@@ -1,7 +1,8 @@
 (** The execution engine (see the interface for the full story): one
     memoized-layer type and one memory -> disk -> compute path ({!memo})
-    shared by backend runs, the clean [-O] step, translation validation and
-    the compiled-program cache; plus the baseline cache, named counters and
+    shared by backend runs, the backend's optimize+validate and render
+    stages, the clean [-O] step, translation validation and the
+    compiled-program cache; plus the baseline cache, named counters and
     per-stage wall-clock accounting.  One engine may be shared across
     domains. *)
 
@@ -31,10 +32,18 @@ type ('k, 'v) table = {
   mutable computed : int;  (* computed afresh *)
 }
 
+(* A target's (pipeline, flags): the nine targets share five. *)
+type pipeline = Compilers.Optimizer.pass_name list * Compilers.Passes.flags
+
 (* Everything [reset] clears, rebuilt as a whole. *)
 type state = {
   runs : (string * string * string, Compilers.Backend.run_result) table;
       (* (target name, module digest, input digest) -> result *)
+  backend_opts : (pipeline * string, Compilers.Backend.optimized) table;
+      (* ((pipeline, flags), module digest) -> the backend's
+         optimize+validate outcome, crashes included *)
+  renders : (string * string, (Image.t, Interp.trap) result) table;
+      (* (post-rewrite module digest, input digest) -> compiled render *)
   opts : (string, Module_ir.t) table;
       (* module digest -> clean -O optimized module *)
   tvs : (string * string, Compilers.Tv.verdict) table;
@@ -85,6 +94,10 @@ type stats = {
   stages : (string * float) list;
   per_domain_runs : (int * int) list;
   counters : (string * int) list;
+  backend_opt_runs : int;
+  backend_opt_hits : int;
+  renders : int;
+  render_hits : int;
 }
 
 let execute_stage = "execute"
@@ -114,6 +127,8 @@ let fresh_state capacity =
           { store_key = (fun (d1, d2) -> Printf.sprintf "tv:%s:%s" d1 d2);
             encode = Run_codec.encode_verdict;
             decode = Run_codec.decode_verdict };
+    backend_opts = table capacity;
+    renders = table capacity;
     programs = table capacity;
     baselines = Hashtbl.create 64;
     baseline_hits = 0;
@@ -193,22 +208,36 @@ let memo_total e tbl key compute =
   Result.get_ok (memo e tbl key (fun () -> Ok (compute ())))
 
 (* Lowered programs are immutable and freely shareable across domains. *)
-let compiled_program e m =
-  memo_total e e.s.programs (Digest.of_module m) (fun () -> Compile.lower m)
+let compiled_program e digest m =
+  memo_total e e.s.programs digest (fun () -> Compile.lower m)
 
 (* The render hook handed to [Backend.run]: it receives the post-miscompile
    module, which differs from the module the engine was asked about, so it
-   is digested and lowered (through the cache) on its own. *)
-let compiled_render e m input = Compile.render_batch (compiled_program e m) input
+   is digested on its own; that digest keys both the render and (on a
+   render miss) the lowered program. *)
+let compiled_render e m input =
+  let d = Digest.of_module m in
+  memo_total e e.s.renders (d, Digest.of_input input) (fun () ->
+      Compile.render_batch (compiled_program e d m) input)
 
+(* The optimize+validate hook: keyed by the target's (pipeline, flags), not
+   its name, so targets sharing a pipeline share the work. *)
+let backend_optimize e (t : Compilers.Target.t) m =
+  let pipeline = (t.Compilers.Target.pipeline, t.Compilers.Target.opt_flags) in
+  memo_total e e.s.backend_opts (pipeline, Digest.of_module m) (fun () ->
+      Compilers.Backend.optimize_validate t m)
+
+(* Renders stay unmemoized in reference mode, so the interpreter remains an
+   independent oracle for the compiled kernel. *)
 let run e (t : Compilers.Target.t) (m : Module_ir.t) (input : Input.t) :
     Compilers.Backend.run_result =
   let key = (t.Compilers.Target.name, Digest.of_module m, Digest.of_input input) in
   memo_total e e.s.runs key (fun () ->
+      let optimize = backend_optimize e t in
       let r =
         if e.use_compiled then
-          Compilers.Backend.run ~render:(compiled_render e) t m input
-        else Compilers.Backend.run t m input
+          Compilers.Backend.run ~optimize ~render:(compiled_render e) t m input
+        else Compilers.Backend.run ~optimize t m input
       in
       let did = (Domain.self () :> int) in
       locked e (fun () -> tally e.s.domain_runs did 1);
@@ -293,11 +322,12 @@ let stats e : stats =
         compiles = s.programs.computed;
         compile_hits = s.programs.hits;
         memo_entries =
-          entries s.runs + entries s.opts + entries s.tvs + entries s.programs;
+          entries s.runs + entries s.backend_opts + entries s.renders
+          + entries s.opts + entries s.tvs + entries s.programs;
         memo_capacity = e.memo_capacity;
         memo_evictions =
-          evictions s.runs + evictions s.opts + evictions s.tvs
-          + evictions s.programs;
+          evictions s.runs + evictions s.backend_opts + evictions s.renders
+          + evictions s.opts + evictions s.tvs + evictions s.programs;
         runs_saved;
         hit_rate =
           (if looked_up = 0 then 0.0
@@ -307,6 +337,10 @@ let stats e : stats =
         stages = sorted_bindings String.compare s.stage_wall;
         per_domain_runs = sorted_bindings compare s.domain_runs;
         counters = sorted_bindings String.compare s.named_counters;
+        backend_opt_runs = s.backend_opts.computed;
+        backend_opt_hits = s.backend_opts.hits;
+        renders = s.renders.computed;
+        render_hits = s.renders.hits;
       })
 
 let reset e = locked e (fun () -> e.s <- fresh_state e.memo_capacity)
@@ -326,6 +360,12 @@ let pp_stats fmt (s : stats) =
     Format.fprintf fmt "@\ntv: %d checks, %d memoized (%.1f%% hit rate)"
       s.tv_checks s.tv_hits
       (100.0 *. float_of_int s.tv_hits /. float_of_int s.tv_checks);
+  if s.backend_opt_runs + s.backend_opt_hits + s.renders + s.render_hits > 0
+  then
+    Format.fprintf fmt
+      "@\nbackend stages: optimize+validate %d computed, %d memo hits; render \
+       %d computed, %d memo hits"
+      s.backend_opt_runs s.backend_opt_hits s.renders s.render_hits;
   if s.compiles > 0 || s.compile_hits > 0 then
     Format.fprintf fmt "@\ncompile: %d modules lowered, %d program-cache hits"
       s.compiles s.compile_hits;

@@ -10,6 +10,17 @@
     {ul
     {- runs ({!run}): [(target, module digest, input digest)] -> run
        result; disk namespace [run:]; stage ["execute"].}
+    {- the backend's optimize+validate stage, handed to
+       {!Compilers.Backend.run} as its [optimize] hook on a run miss:
+       [((pipeline, flags), module digest)] -> crash signature or
+       optimized module plus validation verdict; memory only; no stage
+       (its time stays inside ["execute"]).  Targets sharing a pipeline
+       share the work.}
+    {- the backend's render stage (the [render] hook, compiled kernel
+       only): [(post-rewrite module digest, input digest)] -> render
+       result; memory only; no stage.  In reference mode renders are not
+       memoized, so the interpreter stays an independent oracle for the
+       memoized compiled path.}
     {- the clean [-O] step ({!optimize}): module digest -> optimized
        module; [opt:]; ["optimize"].}
     {- translation validation ({!tv_check}): [(before digest, after
@@ -25,6 +36,11 @@
     not a content digest, so it is a plain table.  All state is guarded by
     one mutex, so one engine may be shared by several OCaml 5 domains — the
     domain-parallel campaigns of {!Experiments} do exactly that.
+
+    Digests are computed once per module value: {!Spirv_ir.Digest} keeps
+    each domain's last few digests by physical identity, so the nine
+    targets, the optimize hook and consecutive TV steps share one
+    disassembly and MD5 of the same module.
 
     The in-memory tables are bounded: {!create}'s [memo_capacity] caps the
     entry count of each and least-recently-used entries are evicted past
@@ -63,7 +79,8 @@ type stats = {
   tv_checks : int;       (** translation-validation checks requested *)
   tv_hits : int;         (** TV verdicts served without re-validating *)
   compiles : int;        (** modules lowered by the flat execution kernel *)
-  compile_hits : int;    (** renders served by an already-lowered program *)
+  compile_hits : int;
+      (** render misses served by an already-lowered program *)
   memo_entries : int;    (** current entries across the memo tables *)
   memo_capacity : int;   (** the per-table LRU entry cap *)
   memo_evictions : int;  (** entries evicted by the LRU bound *)
@@ -83,6 +100,13 @@ type stats = {
       (** caller-defined named tallies ({!bump_counter}), sorted by name —
           e.g. the per-transformation-type [proposed/*] and [applied/*]
           counts campaign drivers accumulate from fuzzer results *)
+  backend_opt_runs : int;
+      (** backend optimize+validate stages actually computed *)
+  backend_opt_hits : int;
+      (** optimize+validate stages served by another target's (or an
+          earlier run's) result for the same pipeline, flags and module *)
+  renders : int;         (** compiled renders actually executed *)
+  render_hits : int;     (** renders served from the render memo *)
 }
 
 val default_memo_capacity : int

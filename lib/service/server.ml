@@ -89,6 +89,10 @@ let engine_json (s : Harness.Engine.stats) =
       ("tv_hits", Json.Int s.Harness.Engine.tv_hits);
       ("compiles", Json.Int s.Harness.Engine.compiles);
       ("compile_hits", Json.Int s.Harness.Engine.compile_hits);
+      ("backend_opt_runs", Json.Int s.Harness.Engine.backend_opt_runs);
+      ("backend_opt_hits", Json.Int s.Harness.Engine.backend_opt_hits);
+      ("renders", Json.Int s.Harness.Engine.renders);
+      ("render_hits", Json.Int s.Harness.Engine.render_hits);
       ("memo_entries", Json.Int s.Harness.Engine.memo_entries);
       ("memo_evictions", Json.Int s.Harness.Engine.memo_evictions);
       ("runs_saved", Json.Int s.Harness.Engine.runs_saved);

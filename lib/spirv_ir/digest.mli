@@ -6,7 +6,13 @@
     disassemble/assemble round trips and ignore [id_bound] (see the
     fresh-id discipline in {!Module_ir}): a variant regenerated by
     replaying a recorded transformation sequence digests equally to the
-    original generation even though replay may end with a smaller bound. *)
+    original generation even though replay may end with a smaller bound.
+
+    Each value is digested once: every domain keeps the digests of the
+    last few values it digested, found by physical identity, so asking
+    again for the same (immutable) module or input costs a few pointer
+    comparisons instead of a disassembly and an MD5.  The result is always
+    the digest a fresh computation would give. *)
 
 val of_module : Module_ir.t -> string
 (** Hex digest of a module's canonical disassembly. *)

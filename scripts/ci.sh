@@ -32,6 +32,18 @@ for call in "Cas\.get" "Cas\.put"; do
   fi
 done
 
+# one-stage-order invariant: Compilers.Backend.run is the only place that
+# orders the backend stages (triggers, optimize, validate, rewrite,
+# render); the engine memoizes stages through Backend.run's hooks and
+# never re-implements them
+for call in "Bug\.find_crash_bug" "Validate\.check" "Optimizer\.run "; do
+  if grep -n "$call" lib/harness/engine.ml; then
+    echo "CI: $call in lib/harness/engine.ml — the engine forks the" \
+         "backend stage order instead of hooking Backend.run" >&2
+    exit 1
+  fi
+done
+
 # compiled-kernel invariant: the engine hot path executes through the flat
 # compiled kernel (one-time lowering, per-digest program cache); the
 # tree-walking interpreter stays out of lib/harness — it is the
@@ -347,6 +359,26 @@ if ! cmp -s "$STORE/tests-par.txt" "$STORE/tests-refint-par.txt"; then
   exit 1
 fi
 
+# TV determinism gate: a translation-validated campaign's hit list must be
+# byte-identical at --domains 1 and --domains 4, and under the reference
+# interpreter (TV verdicts and the staged backend memo are shared by every
+# domain of one engine)
+./_build/default/bin/tbct_cli.exe campaign --seeds 40 --tv --domains 1 \
+    --hits-out "$STORE/hits-tv-seq.txt" > /dev/null
+./_build/default/bin/tbct_cli.exe campaign --seeds 40 --tv --domains 4 \
+    --hits-out "$STORE/hits-tv-par.txt" > /dev/null
+./_build/default/bin/tbct_cli.exe campaign --seeds 40 --tv --reference-interp \
+    --hits-out "$STORE/hits-tv-refint.txt" > /dev/null
+if ! cmp -s "$STORE/hits-tv-seq.txt" "$STORE/hits-tv-par.txt"; then
+  echo "CI: 4-domain TV campaign hit list differs from the sequential one" >&2
+  exit 1
+fi
+if ! cmp -s "$STORE/hits-tv-seq.txt" "$STORE/hits-tv-refint.txt"; then
+  echo "CI: TV campaign differs between the compiled kernel and the" \
+       "reference interpreter" >&2
+  exit 1
+fi
+
 # serve smoke: a daemon on a temp socket runs two concurrent campaigns
 # over one shared engine.  Gates: both jobs complete under attach, the
 # jobs share the engine (cross-job memo hits > 0 in status --json), drain
@@ -423,4 +455,4 @@ if ! cmp -s "$SDIR/hits-resumed.txt" "$SDIR/hits-fresh.txt"; then
 fi
 rm -rf "$SDIR"
 
-echo "CI: build + tests + lint + tv + loop-coverage + memory-coverage + contract-smoke + store-smoke + registry-gates + perf-smoke + pool-determinism + compiled-kernel-equivalence + serve-smoke + invariant checks passed"
+echo "CI: build + tests + lint + tv + loop-coverage + memory-coverage + contract-smoke + store-smoke + registry-gates + perf-smoke + pool-determinism + compiled-kernel-equivalence + tv-determinism + serve-smoke + invariant checks passed"

@@ -191,6 +191,173 @@ let test_raising_on_seed_propagates () =
   | exception Hook_failure -> ()
 
 (* ------------------------------------------------------------------ *)
+(* Digest once per module value *)
+
+let fresh_hex s = Stdlib.Digest.to_hex (Stdlib.Digest.string s)
+let fresh_module_digest m = fresh_hex (Spirv_ir.Disasm.to_string m)
+let fresh_input_digest i = fresh_hex (Spirv_ir.Input.to_string i)
+
+(* a structurally equal, physically distinct copy *)
+let copy (v : 'a) : 'a = Marshal.from_string (Marshal.to_string v []) 0
+
+(* a generated module plus a fuzzed variant of it, and their inputs *)
+let digest_sample seed =
+  let m = Spirv_ir.Generator.generate (Tbct.Rng.make seed) in
+  let ctx = Spirv_fuzz.Context.make m Spirv_ir.Generator.default_input in
+  let v = (Spirv_fuzz.Fuzzer.run ~seed ctx).final in
+  [ (m, Spirv_ir.Generator.default_input);
+    (v.Spirv_fuzz.Context.m, v.Spirv_fuzz.Context.input) ]
+
+let test_digest_cache_sound =
+  QCheck.Test.make ~count:40 ~name:"cached digests equal fresh digests"
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let sample = digest_sample seed in
+      let agrees (m, i) =
+        String.equal (Spirv_ir.Digest.of_module m) (fresh_module_digest m)
+        && String.equal (Spirv_ir.Digest.of_input i) (fresh_input_digest i)
+      in
+      (* first sight, the cached second sight, and equal-but-distinct copies *)
+      List.for_all agrees sample
+      && List.for_all agrees sample
+      && List.for_all (fun (m, i) -> agrees (copy m, copy i)) sample
+      &&
+      (* reached again after more than the cache's capacity of others *)
+      let others =
+        List.concat_map digest_sample (List.init 6 (fun k -> seed + 1 + k))
+      in
+      List.iter
+        (fun (m, i) ->
+          ignore (Spirv_ir.Digest.of_module m);
+          ignore (Spirv_ir.Digest.of_input i))
+        others;
+      List.for_all agrees sample)
+
+let test_digest_cache_domains () =
+  let sample =
+    List.concat_map digest_sample (List.init 12 (fun k -> 7 * k))
+    @ List.map
+        (fun (_, m) -> (m, Corpus.default_input))
+        (Lazy.force Corpus.lowered_references)
+  in
+  let digests () =
+    List.map
+      (fun (m, i) -> (Spirv_ir.Digest.of_module m, Spirv_ir.Digest.of_input i))
+      sample
+  in
+  let sequential = digests () in
+  Alcotest.(check (list (pair string string))) "sequential = fresh"
+    (List.map (fun (m, i) -> (fresh_module_digest m, fresh_input_digest i)) sample)
+    sequential;
+  let workers =
+    List.init 4 (fun _ -> Domain.spawn (fun () -> List.init 3 (fun _ -> digests ())))
+  in
+  List.iter
+    (fun d ->
+      List.iter
+        (Alcotest.(check (list (pair string string)))
+           "a domain's digests = sequential" sequential)
+        (Domain.join d))
+    workers
+
+(* ------------------------------------------------------------------ *)
+(* The staged backend memo: optimize+validate and render tables *)
+
+let same_run (a : Compilers.Backend.run_result) b =
+  (* the exact run codec compares images bit for bit, NaN payloads too *)
+  String.equal (Tbct_store.Run_codec.encode_run a)
+    (Tbct_store.Run_codec.encode_run b)
+
+(* corpus references on the default input, plus fuzzed variants on theirs *)
+let differential_cases =
+  lazy
+    (let refs = Lazy.force Corpus.lowered_references in
+     let variants =
+       List.init 30 (fun k ->
+           let name, m = List.nth refs (k * 7 mod List.length refs) in
+           let ctx = Spirv_fuzz.Context.make m Corpus.default_input in
+           let v = (Spirv_fuzz.Fuzzer.run ~seed:(100 + k) ctx).final in
+           ( Printf.sprintf "%s/seed%d" name (100 + k),
+             v.Spirv_fuzz.Context.m,
+             v.Spirv_fuzz.Context.input ))
+     in
+     List.map (fun (name, m) -> (name, m, Corpus.default_input)) refs @ variants)
+
+let test_staged_memo_differential compiled () =
+  let cases = Lazy.force differential_cases in
+  let expected =
+    List.map
+      (fun (_, m, i) ->
+        List.map (fun t -> Compilers.Backend.run t m i) Compilers.Target.all)
+      cases
+  in
+  let check_pass what engine targets =
+    List.iter2
+      (fun (name, m, i) runs ->
+        List.iter2
+          (fun (t : Compilers.Target.t) want ->
+            if not (same_run want (Harness.Engine.run engine t m i)) then
+              Alcotest.failf "%s: %s on %s differs from Backend.run" what name
+                t.Compilers.Target.name)
+          targets runs)
+      cases
+  in
+  let forward = Compilers.Target.all in
+  let engine = Harness.Engine.create ~compiled () in
+  check_pass "cold" engine forward expected;
+  check_pass "warm" engine forward expected;
+  let reversed = List.rev forward in
+  check_pass "reversed targets" (Harness.Engine.create ~compiled ()) reversed
+    (List.map List.rev expected);
+  let s = Harness.Engine.stats engine in
+  Alcotest.(check bool) "the optimize+validate memo was shared" true
+    (s.Harness.Engine.backend_opt_hits > 0);
+  if compiled then
+    Alcotest.(check bool) "renders were memoized" true
+      (s.Harness.Engine.render_hits > 0)
+  else
+    Alcotest.(check int) "reference mode memoizes no render" 0
+      (s.Harness.Engine.renders + s.Harness.Engine.render_hits)
+
+let test_staged_memo_counts () =
+  let targets = Compilers.Target.all in
+  let pipelines =
+    List.sort_uniq compare
+      (List.map
+         (fun (t : Compilers.Target.t) ->
+           (t.Compilers.Target.pipeline, t.Compilers.Target.opt_flags))
+         targets)
+  in
+  Alcotest.(check int) "nine targets, five (pipeline, flags) pairs" 5
+    (List.length pipelines);
+  (* a corpus reference: no front-end trigger fires, so every target
+     reaches the optimize+validate stage *)
+  let m = List.assoc "gradient" (Lazy.force Corpus.lowered_references) in
+  let input = Corpus.default_input in
+  let engine = Harness.Engine.create () in
+  let run_all input =
+    List.iter
+      (fun t ->
+        if not (same_run (Compilers.Backend.run t m input)
+                  (Harness.Engine.run engine t m input))
+        then Alcotest.failf "%s differs from Backend.run" t.Compilers.Target.name)
+      targets
+  in
+  run_all input;
+  let s1 = Harness.Engine.stats engine in
+  Alcotest.(check int) "one optimize+validate per (pipeline, flags)"
+    (List.length pipelines) s1.Harness.Engine.backend_opt_runs;
+  Alcotest.(check int) "every target reached the stage" (List.length targets)
+    (s1.Harness.Engine.backend_opt_runs + s1.Harness.Engine.backend_opt_hits);
+  let input2 = { input with Spirv_ir.Input.width = input.Spirv_ir.Input.width + 1 } in
+  run_all input2;
+  let s2 = Harness.Engine.stats engine in
+  Alcotest.(check int) "a second input re-optimizes nothing"
+    s1.Harness.Engine.backend_opt_runs s2.Harness.Engine.backend_opt_runs;
+  Alcotest.(check int) "a second input executes every target again"
+    (2 * s1.Harness.Engine.runs_executed) s2.Harness.Engine.runs_executed
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "engine"
@@ -202,6 +369,18 @@ let () =
           Alcotest.test_case "distinguishes corpus modules" `Quick
             test_digest_distinguishes_modules;
           Alcotest.test_case "input digests" `Quick test_digest_input;
+          QCheck_alcotest.to_alcotest test_digest_cache_sound;
+          Alcotest.test_case "digest cache across four domains" `Quick
+            test_digest_cache_domains;
+        ] );
+      ( "staged",
+        [
+          Alcotest.test_case "compiled engine = Backend.run" `Quick
+            (test_staged_memo_differential true);
+          Alcotest.test_case "reference engine = Backend.run" `Quick
+            (test_staged_memo_differential false);
+          Alcotest.test_case "one optimize+validate per pipeline" `Quick
+            test_staged_memo_counts;
         ] );
       ( "cache",
         [
