@@ -99,7 +99,11 @@ let optimize m : (Module_ir.t, string) result =
 (* Translation-validated pipeline: run the validator between every pair of
    consecutive pass outputs and name the guilty pass of the first
    mismatch.  [check] defaults to the unmemoized Tv.check_pass; the
-   harness engine substitutes its digest-memoized variant. *)
+   harness engine substitutes its digest-memoized variant.  A pass whose
+   output equals its input continues with the input value itself, so a
+   memoized [check] sees [before == after] and digests nothing; modules
+   are immutable and equal modules have the same listing, so no later
+   pass can tell. *)
 type tv_report = {
   tv_module : Module_ir.t;
   tv_steps : (pass_name * Tv.verdict) list;
@@ -113,6 +117,7 @@ let run_tv ?(flags = Passes.no_bugs) ?(check = Tv.check_pass) pipeline m :
       List.fold_left
         (fun (m, steps) pass ->
           let m' = run_pass flags m pass in
+          let m' = if Module_ir.equal m' m then m else m' in
           (m', (pass, check m m') :: steps))
         (m, []) pipeline
     in

@@ -2,7 +2,11 @@
 
     [standard] is the [-O]-style sequence (run twice, like spirv-opt's
     iterated optimization loop); each of the nine targets combines a
-    pipeline with a roster of injected bugs ({!Target}). *)
+    pipeline with a roster of injected bugs ({!Target}).
+
+    {!run_tv} validates a pipeline pass by pass.  There, and only there, a
+    pass that changed nothing hands its input value on, so a memoized
+    checker sees [before == after] and digests nothing. *)
 
 open Spirv_ir
 
@@ -64,7 +68,16 @@ val run_tv :
     before/after pair with [check] (default {!Tv.check_pass}; the harness
     engine passes its digest-memoized variant), naming the guilty pass of
     the first mismatch.  [Error] carries a crash signature when an
-    injected crash bug fires mid-pipeline. *)
+    injected crash bug fires mid-pipeline.
+
+    A pass whose output is {!Spirv_ir.Module_ir.equal} to its input
+    continues with the input value itself, so [check] is called with
+    [before == after] and a memoized checker can answer without digesting
+    either module.  Modules are immutable and equal modules print the
+    same listing, so the steps, the guilty pass and [tv_module] are those
+    of a plain fold of {!run_pass} and [check].  ({!run} and
+    {!run_checked} keep every pass output: they digest no intermediate
+    module, so the comparison would buy them nothing.) *)
 
 val standard : pass_name list
 (** The [-O] pipeline. *)

@@ -1,9 +1,9 @@
 (** The execution engine (see the interface for the full story): one
     memoized-layer type and one memory -> disk -> compute path ({!memo})
     shared by backend runs, the backend's optimize+validate and render
-    stages, the clean [-O] step, translation validation and the
-    compiled-program cache; plus the baseline cache, named counters and
-    per-stage wall-clock accounting.  One engine may be shared across
+    stages, the clean [-O] step, per-pass translation validation and
+    whole-pipeline TV outcomes; plus the baseline cache, named counters
+    and per-stage wall-clock accounting.  One engine may be shared across
     domains. *)
 
 open Spirv_ir
@@ -35,6 +35,17 @@ type ('k, 'v) table = {
 (* A target's (pipeline, flags): the nine targets share five. *)
 type pipeline = Compilers.Optimizer.pass_name list * Compilers.Passes.flags
 
+let pipeline_of (t : Compilers.Target.t) : pipeline =
+  (t.Compilers.Target.pipeline, t.Compilers.Target.opt_flags)
+
+(* A translation-validated pipeline run: the abstention labels of its
+   steps in order, and the guilty pass (the first [Mismatch]) or the
+   crash signature of the pass that crashed after those steps. *)
+type tv_outcome = {
+  abstains : string list;
+  guilty : (Compilers.Optimizer.pass_name option, string) result;
+}
+
 (* Everything [reset] clears, rebuilt as a whole. *)
 type state = {
   runs : (string * string * string, Compilers.Backend.run_result) table;
@@ -48,8 +59,8 @@ type state = {
       (* module digest -> clean -O optimized module *)
   tvs : (string * string, Compilers.Tv.verdict) table;
       (* (before digest, after digest) -> translation-validation verdict *)
-  programs : (string, Compile.t) table;
-      (* module digest -> lowered program for the flat execution kernel *)
+  tv_pipelines : (pipeline * string, tv_outcome) table;
+      (* ((pipeline, flags), module digest) -> the pipeline's TV outcome *)
   baselines : (string * string, Compilers.Backend.run_result) Hashtbl.t;
       (* (target name, reference name) -> result; keyed by name, not by
          content, so it is no memo layer *)
@@ -98,6 +109,8 @@ type stats = {
   backend_opt_hits : int;
   renders : int;
   render_hits : int;
+  tv_pipelines : int;
+  tv_pipeline_hits : int;
 }
 
 let execute_stage = "execute"
@@ -129,7 +142,7 @@ let fresh_state capacity =
             decode = Run_codec.decode_verdict };
     backend_opts = table capacity;
     renders = table capacity;
-    programs = table capacity;
+    tv_pipelines = table capacity;
     baselines = Hashtbl.create 64;
     baseline_hits = 0;
     store_writes = 0;
@@ -207,24 +220,19 @@ let memo e tbl key compute =
 let memo_total e tbl key compute =
   Result.get_ok (memo e tbl key (fun () -> Ok (compute ())))
 
-(* Lowered programs are immutable and freely shareable across domains. *)
-let compiled_program e digest m =
-  memo_total e e.s.programs digest (fun () -> Compile.lower m)
-
 (* The render hook handed to [Backend.run]: it receives the post-miscompile
    module, which differs from the module the engine was asked about, so it
-   is digested on its own; that digest keys both the render and (on a
-   render miss) the lowered program. *)
+   is digested on its own.  A render miss lowers the module afresh: with
+   renders memoized, a lowered program would be reused only when one
+   module is rendered on a second input. *)
 let compiled_render e m input =
-  let d = Digest.of_module m in
-  memo_total e e.s.renders (d, Digest.of_input input) (fun () ->
-      Compile.render_batch (compiled_program e d m) input)
+  memo_total e e.s.renders (Digest.of_module m, Digest.of_input input)
+    (fun () -> Compile.render_batch (Compile.lower m) input)
 
 (* The optimize+validate hook: keyed by the target's (pipeline, flags), not
    its name, so targets sharing a pipeline share the work. *)
 let backend_optimize e (t : Compilers.Target.t) m =
-  let pipeline = (t.Compilers.Target.pipeline, t.Compilers.Target.opt_flags) in
-  memo_total e e.s.backend_opts (pipeline, Digest.of_module m) (fun () ->
+  memo_total e e.s.backend_opts (pipeline_of t, Digest.of_module m) (fun () ->
       Compilers.Backend.optimize_validate t m)
 
 (* Renders stay unmemoized in reference mode, so the interpreter remains an
@@ -263,29 +271,60 @@ let optimize e (m : Module_ir.t) : (Module_ir.t, string) result =
   memo e e.s.opts (Digest.of_module m) (fun () ->
       Compilers.Optimizer.optimize m)
 
-let tv_check e ~(before : Module_ir.t) ~(after : Module_ir.t) :
+(* A check without its abstention tally.  A pass that changed nothing
+   proved itself, whether [Optimizer.run_tv] handed back its input value
+   ([==], nothing to digest) or the digests coincide: a check served as a
+   hit. *)
+let tv_verdict e ~(before : Module_ir.t) ~(after : Module_ir.t) :
     Compilers.Tv.verdict =
-  let d1 = Digest.of_module before in
-  let d2 = Digest.of_module after in
-  let v =
-    if String.equal d1 d2 then begin
-      (* a pass that changed nothing proved itself: a check served as a hit *)
-      locked e (fun () -> e.s.tvs.hits <- e.s.tvs.hits + 1);
-      Compilers.Tv.Equivalent
-    end
-    else
-      memo_total e e.s.tvs (d1, d2) (fun () ->
-          let v, proofs = Compilers.Tv.check_pass_counted before after in
-          (* fresh computes only: a memoized verdict re-proves nothing *)
-          if proofs > 0 then bump_counter e "mem-proofs" proofs;
-          v)
-  in
-  (* bucket abstentions by their structured Symval reason (the payload's
-     label prefix) *)
-  (match Compilers.Tv.abstain_label v with
-  | Some label -> bump_counter e ("tv-abstain:" ^ label) 1
-  | None -> ());
+  let d1 () = Digest.of_module before and d2 () = Digest.of_module after in
+  if before == after || String.equal (d1 ()) (d2 ()) then begin
+    locked e (fun () -> e.s.tvs.hits <- e.s.tvs.hits + 1);
+    Compilers.Tv.Equivalent
+  end
+  else
+    memo_total e e.s.tvs (d1 (), d2 ()) (fun () ->
+        let v, proofs = Compilers.Tv.check_pass_counted before after in
+        (* fresh computes only: a memoized verdict re-proves nothing *)
+        if proofs > 0 then bump_counter e "mem-proofs" proofs;
+        v)
+
+(* abstentions are bucketed by their structured Symval reason (the
+   payload's label prefix) *)
+let count_abstain e label = bump_counter e ("tv-abstain:" ^ label) 1
+
+let tv_check e ~before ~after =
+  let v = tv_verdict e ~before ~after in
+  Option.iter (count_abstain e) (Compilers.Tv.abstain_label v);
   v
+
+(* A pipeline's outcome is a function of (pipeline, flags, module), so the
+   nine targets validate each module at most five times.  Its abstention
+   labels are replayed on every lookup, so the [tv-abstain:*] counters
+   match a check-by-check run; [mem-proofs] counts fresh Symval work only,
+   inside [tv_verdict]. *)
+let tv_pipeline e (t : Compilers.Target.t) m =
+  let o =
+    memo_total e e.s.tv_pipelines (pipeline_of t, Digest.of_module m)
+      (fun () ->
+        let abstains = ref [] in
+        let check before after =
+          let v = tv_verdict e ~before ~after in
+          Option.iter
+            (fun l -> abstains := l :: !abstains)
+            (Compilers.Tv.abstain_label v);
+          v
+        in
+        let report =
+          Compilers.Optimizer.run_tv ~flags:t.Compilers.Target.opt_flags ~check
+            t.Compilers.Target.pipeline m
+        in
+        { abstains = List.rev !abstains;
+          guilty =
+            Result.map (fun r -> r.Compilers.Optimizer.tv_guilty) report })
+  in
+  List.iter (count_abstain e) o.abstains;
+  o.guilty
 
 let timed e ~stage f =
   let t0 = Unix.gettimeofday () in
@@ -300,7 +339,8 @@ let sorted_bindings cmp tbl =
   |> List.sort (fun (a, _) (b, _) -> cmp a b)
 
 (* Every counter is projected from the tables: a TV check is a hit (memory,
-   disk or equal digests) or a fresh compute. *)
+   disk, or an unchanged pass) or a fresh compute.  Renders are computed
+   in the compiled engine only, each lowering its module once. *)
 let stats e : stats =
   locked e (fun () ->
       let s = e.s in
@@ -319,15 +359,15 @@ let stats e : stats =
         store_writes = s.store_writes;
         tv_checks = served s.tvs + s.tvs.computed;
         tv_hits = served s.tvs;
-        compiles = s.programs.computed;
-        compile_hits = s.programs.hits;
+        compiles = s.renders.computed;
+        compile_hits = 0;
         memo_entries =
           entries s.runs + entries s.backend_opts + entries s.renders
-          + entries s.opts + entries s.tvs + entries s.programs;
+          + entries s.opts + entries s.tvs + entries s.tv_pipelines;
         memo_capacity = e.memo_capacity;
         memo_evictions =
           evictions s.runs + evictions s.backend_opts + evictions s.renders
-          + evictions s.opts + evictions s.tvs + evictions s.programs;
+          + evictions s.opts + evictions s.tvs + evictions s.tv_pipelines;
         runs_saved;
         hit_rate =
           (if looked_up = 0 then 0.0
@@ -341,6 +381,8 @@ let stats e : stats =
         backend_opt_hits = s.backend_opts.hits;
         renders = s.renders.computed;
         render_hits = s.renders.hits;
+        tv_pipelines = s.tv_pipelines.computed;
+        tv_pipeline_hits = s.tv_pipelines.hits;
       })
 
 let reset e = locked e (fun () -> e.s <- fresh_state e.memo_capacity)
@@ -357,18 +399,20 @@ let pp_stats fmt (s : stats) =
     s.opt_runs s.opt_hits s.memo_entries s.memo_capacity s.memo_evictions
     s.store_hits s.store_writes;
   if s.tv_checks > 0 then
-    Format.fprintf fmt "@\ntv: %d checks, %d memoized (%.1f%% hit rate)"
+    Format.fprintf fmt
+      "@\ntv: %d checks, %d memoized (%.1f%% hit rate); pipelines: %d \
+       validated, %d memo hits"
       s.tv_checks s.tv_hits
-      (100.0 *. float_of_int s.tv_hits /. float_of_int s.tv_checks);
+      (100.0 *. float_of_int s.tv_hits /. float_of_int s.tv_checks)
+      s.tv_pipelines s.tv_pipeline_hits;
   if s.backend_opt_runs + s.backend_opt_hits + s.renders + s.render_hits > 0
   then
     Format.fprintf fmt
       "@\nbackend stages: optimize+validate %d computed, %d memo hits; render \
        %d computed, %d memo hits"
       s.backend_opt_runs s.backend_opt_hits s.renders s.render_hits;
-  if s.compiles > 0 || s.compile_hits > 0 then
-    Format.fprintf fmt "@\ncompile: %d modules lowered, %d program-cache hits"
-      s.compiles s.compile_hits;
+  if s.compiles > 0 then
+    Format.fprintf fmt "@\ncompile: %d modules lowered" s.compiles;
   if s.stages <> [] then begin
     Format.fprintf fmt "@\nstage wall-clock:";
     List.iter (fun (k, v) -> Format.fprintf fmt "@\n  %-10s %8.3fs" k v) s.stages

@@ -18,15 +18,20 @@
        share the work.}
     {- the backend's render stage (the [render] hook, compiled kernel
        only): [(post-rewrite module digest, input digest)] -> render
-       result; memory only; no stage.  In reference mode renders are not
-       memoized, so the interpreter stays an independent oracle for the
-       memoized compiled path.}
+       result; memory only; no stage.  A miss lowers the module for the
+       flat execution kernel and renders it; lowered programs are not
+       kept.  In reference mode renders are not memoized, so the
+       interpreter stays an independent oracle for the memoized compiled
+       path.}
     {- the clean [-O] step ({!optimize}): module digest -> optimized
        module; [opt:]; ["optimize"].}
-    {- translation validation ({!tv_check}): [(before digest, after
-       digest)] -> verdict; [tv:]; ["tv"].}
-    {- compiled programs for the flat execution kernel: module digest ->
-       lowered program; memory only; no stage.}}
+    {- per-pass translation validation ({!tv_check}): [(before digest,
+       after digest)] -> verdict; [tv:]; ["tv"].}
+    {- whole-pipeline translation validation ({!tv_pipeline}):
+       [((pipeline, flags), module digest)] -> guilty pass or crash
+       signature, plus the abstention labels of its steps; memory only;
+       no stage (a miss runs {!tv_check} per pass, which bills ["tv"]).
+       Targets sharing a pipeline share the work.}}
 
     A lookup tries memory, then the disk store, then computes with the
     mutex released; only successful results are cached, in memory and
@@ -40,7 +45,10 @@
     Digests are computed once per module value: {!Spirv_ir.Digest} keeps
     each domain's last few digests by physical identity, so the nine
     targets, the optimize hook and consecutive TV steps share one
-    disassembly and MD5 of the same module.
+    disassembly and MD5 of the same module.  A TV step whose pass changed
+    nothing digests nothing at all: the translation-validated pipeline of
+    {!Compilers.Optimizer} hands the pass's input value on, and
+    {!tv_check} answers [before == after] with [Equivalent].
 
     The in-memory tables are bounded: {!create}'s [memo_capacity] caps the
     entry count of each and least-recently-used entries are evicted past
@@ -76,11 +84,19 @@ type stats = {
   opt_hits : int;        (** optimize-step hits (memory or disk) *)
   store_hits : int;      (** run results served from the disk store *)
   store_writes : int;    (** objects written through to the disk store *)
-  tv_checks : int;       (** translation-validation checks requested *)
-  tv_hits : int;         (** TV verdicts served without re-validating *)
-  compiles : int;        (** modules lowered by the flat execution kernel *)
+  tv_checks : int;
+      (** per-pass translation-validation checks requested: direct
+          {!tv_check} calls plus the steps of pipelines {!tv_pipeline}
+          actually re-validated (its memo hits check nothing) *)
+  tv_hits : int;
+      (** TV verdicts served without re-validating (memo, disk, or a pass
+          that changed nothing) *)
+  compiles : int;
+      (** modules lowered by the flat execution kernel: one per compiled
+          render computed *)
   compile_hits : int;
-      (** render misses served by an already-lowered program *)
+      (** always [0]: lowered programs are no longer cached (a render miss
+          lowers afresh); kept for readers of the record *)
   memo_entries : int;    (** current entries across the memo tables *)
   memo_capacity : int;   (** the per-table LRU entry cap *)
   memo_evictions : int;  (** entries evicted by the LRU bound *)
@@ -107,6 +123,12 @@ type stats = {
           earlier run's) result for the same pipeline, flags and module *)
   renders : int;         (** compiled renders actually executed *)
   render_hits : int;     (** renders served from the render memo *)
+  tv_pipelines : int;
+      (** pipelines translation-validated afresh by {!tv_pipeline} *)
+  tv_pipeline_hits : int;
+      (** {!tv_pipeline} outcomes served by another target's (or an
+          earlier call's) validation of the same pipeline, flags and
+          module *)
 }
 
 val default_memo_capacity : int
@@ -119,11 +141,10 @@ val create :
     {!default_memo_capacity}) bounds each in-memory table.
 
     [compiled] (default [true]) selects the execution kernel for the hot
-    path: modules are lowered once by {!Spirv_ir.Compile.lower} into flat
-    programs, cached per module digest in an LRU ([compiles] /
-    [compile_hits] in {!stats}), and executed with
-    {!Spirv_ir.Compile.render_batch} — observably bit-identical to the
-    reference interpreter.  [~compiled:false] keeps every render on
+    path: each memoized render miss lowers its module with
+    {!Spirv_ir.Compile.lower} into a flat program ([compiles] in
+    {!stats}) and executes it with {!Spirv_ir.Compile.render_batch} —
+    observably bit-identical to the reference interpreter.  [~compiled:false] keeps every render on
     {!Spirv_ir.Interp.render}: the reference-interpreter mode the CI
     byte-equality gate runs campaigns under (the differential oracle for
     the kernel itself). *)
@@ -152,12 +173,25 @@ val optimize : t -> Module_ir.t -> (Module_ir.t, string) result
 val tv_check : t -> before:Module_ir.t -> after:Module_ir.t ->
   Compilers.Tv.verdict
 (** Translation validation ({!Compilers.Tv.check_pass}), memoized by the
-    [(digest before, digest after)] pair: equal digests short-circuit to
-    [Equivalent] (counted as a check and a hit), then the in-memory LRU,
+    [(digest before, digest after)] pair: physically equal modules (no
+    digest needed) or equal digests short-circuit to [Equivalent]
+    (counted as a check and a hit), then the in-memory LRU,
     then the disk store (if any), then symbolic validation billed to the
     ["tv"] stage and written through.  Sound for the same reason run
     memoization is: [check_pass] is a deterministic function of the two
     modules and the verdict codec is exact. *)
+
+val tv_pipeline : t -> Compilers.Target.t -> Module_ir.t ->
+  (Compilers.Optimizer.pass_name option, string) result
+(** The target's pipeline (with its injected-bug flags) translation-
+    validated on a module: [Ok] of the guilty pass of the first
+    [Mismatch], if any, or [Error] of the crash signature of a pass that
+    crashed — what {!Compilers.Optimizer}'s [run_tv] reports with
+    {!tv_check} as its checker.  Memoized in memory by [((pipeline, flags), module
+    digest)]; a miss runs [run_tv] with {!tv_check}'s memoized checks.
+    Each lookup, hit or miss, bumps the [tv-abstain:*] counters by the
+    abstentions of the pipeline's steps, so they equal a check-by-check
+    run. *)
 
 val timed : t -> stage:string -> (unit -> 'a) -> 'a
 (** Run a thunk and add its wall-clock time to the named stage. *)

@@ -214,6 +214,7 @@ let scale_of (r : Jobs.record) =
 let memo_total (s : Harness.Engine.stats) =
   s.Harness.Engine.cache_hits + s.Harness.Engine.store_hits
   + s.Harness.Engine.opt_hits + s.Harness.Engine.tv_hits
+  + s.Harness.Engine.tv_pipeline_hits
 
 let abstain_prefix = "tv-abstain:"
 

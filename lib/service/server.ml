@@ -93,6 +93,8 @@ let engine_json (s : Harness.Engine.stats) =
       ("backend_opt_hits", Json.Int s.Harness.Engine.backend_opt_hits);
       ("renders", Json.Int s.Harness.Engine.renders);
       ("render_hits", Json.Int s.Harness.Engine.render_hits);
+      ("tv_pipelines", Json.Int s.Harness.Engine.tv_pipelines);
+      ("tv_pipeline_hits", Json.Int s.Harness.Engine.tv_pipeline_hits);
       ("memo_entries", Json.Int s.Harness.Engine.memo_entries);
       ("memo_evictions", Json.Int s.Harness.Engine.memo_evictions);
       ("runs_saved", Json.Int s.Harness.Engine.runs_saved);

@@ -20,8 +20,9 @@ if grep -rn "baseline_cache" lib/harness; then
   exit 1
 fi
 
-# one-memo-path invariant: every memoized engine layer (runs, the clean -O
-# step, TV verdicts, compiled programs) is a table served by Engine.memo,
+# one-memo-path invariant: every memoized engine layer (runs, the backend
+# stages, the clean -O step, TV verdicts and pipelines) is a table served
+# by Engine.memo,
 # the only place the engine reads or writes the disk store, so a new layer
 # cannot grow its own memory -> disk -> compute ladder
 for call in "Cas\.get" "Cas\.put"; do
@@ -44,8 +45,17 @@ for call in "Bug\.find_crash_bug" "Validate\.check" "Optimizer\.run "; do
   fi
 done
 
+# one TV-pipeline path: the harness translation-validates a target's
+# pipeline only through Engine.tv_pipeline, which memoizes the outcome per
+# (pipeline, flags, module); no other harness file runs the pipeline
+if grep -rn "Optimizer\.run_tv" lib/harness | grep -v "^lib/harness/engine\.ml:"; then
+  echo "CI: Optimizer.run_tv in lib/harness outside engine.ml — validate" \
+       "pipelines through Engine.tv_pipeline" >&2
+  exit 1
+fi
+
 # compiled-kernel invariant: the engine hot path executes through the flat
-# compiled kernel (one-time lowering, per-digest program cache); the
+# compiled kernel (a memoized render lowers its module once); the
 # tree-walking interpreter stays out of lib/harness — it is the
 # differential oracle behind --reference-interp, reached only via the
 # default render hook inside Compilers.Backend
@@ -134,6 +144,42 @@ for target in AMD-LLPC Mesa Mesa-Old NVIDIA Pixel-5 Pixel-4 spirv-opt \
   fi
 done
 rm -f "$TVSWEEP"
+
+# signed-zero gate: 0.0 * -1.0 folds to -0.0, which must stay distinct from
+# the module's +0.0 constant; merging them made the clean constant folder
+# flip a sign, a false Mismatch on every target
+SIGNED_ZERO=$(mktemp)
+cat > "$SIGNED_ZERO" <<'EOF'
+OpIdBound 16
+OpEntryPoint %7
+%1 = OpTypeVoid
+%2 = OpTypeFloat
+%3 = OpTypeVector %2 4
+%4 = OpTypePointer Output %3
+%6 = OpTypeFunction %1
+%10 = OpConstantFloat %2 0x0p+0
+%11 = OpConstantFloat %2 -0x1p+0
+%12 = OpConstantFloat %2 0x1p+0
+%5 = OpGlobalVariable %4 "_color"
+%7 = OpFunction %6 None "main"
+%8 = OpLabel
+%13 = OpFMul %2 %10 %11
+%14 = OpFDiv %2 %12 %13
+%15 = OpCompositeConstruct %3 %13 %14 %10 %12
+OpStore %5 %15
+OpReturn
+OpFunctionEnd
+EOF
+for target in AMD-LLPC Mesa Mesa-Old NVIDIA Pixel-5 Pixel-4 spirv-opt \
+              spirv-opt-old SwiftShader; do
+  if ! ./_build/default/bin/tbct_cli.exe tv --target "$target" --json \
+      "$SIGNED_ZERO" > "$SIGNED_ZERO.out" \
+     || grep -q '"verdict":"mismatch"' "$SIGNED_ZERO.out"; then
+    echo "CI: signed-zero module reports a Mismatch on target $target" >&2
+    exit 1
+  fi
+done
+rm -f "$SIGNED_ZERO" "$SIGNED_ZERO.out"
 
 # loop-coverage gate: on the counted-loop corpus the oracle must decide
 # (Equivalent or Mismatch, not Abstained) at least 90% of the modules —
@@ -455,4 +501,4 @@ if ! cmp -s "$SDIR/hits-resumed.txt" "$SDIR/hits-fresh.txt"; then
 fi
 rm -rf "$SDIR"
 
-echo "CI: build + tests + lint + tv + loop-coverage + memory-coverage + contract-smoke + store-smoke + registry-gates + perf-smoke + pool-determinism + compiled-kernel-equivalence + tv-determinism + serve-smoke + invariant checks passed"
+echo "CI: build + tests + lint + tv + signed-zero + loop-coverage + memory-coverage + contract-smoke + store-smoke + registry-gates + perf-smoke + pool-determinism + compiled-kernel-equivalence + tv-determinism + serve-smoke + invariant checks passed"

@@ -6,7 +6,7 @@
    tests drive both engines over the corpus, generated modules, corrupted
    modules (the engine executes post-miscompile modules that need not
    validate), step-limit sweeps and a trap-at-fragment-k regression —
-   plus the compiled-program cache in Harness.Engine and the binary run
+   plus one lowering per render in Harness.Engine and the binary run
    codec in Tbct_store. *)
 
 open Spirv_ir
@@ -292,7 +292,9 @@ let test_trap_order_is_y_major () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Harness.Engine: the per-digest compiled-program cache *)
+(* Harness.Engine: one lowering per render computed.  Renders are
+   memoized by (module digest, input digest); a render miss lowers the
+   module afresh, since no lowered program is kept. *)
 
 let run_eq (a : Compilers.Backend.run_result) (b : Compilers.Backend.run_result) =
   match (a, b) with
@@ -301,7 +303,13 @@ let run_eq (a : Compilers.Backend.run_result) (b : Compilers.Backend.run_result)
   | Compilers.Backend.Rendered x, Compilers.Backend.Rendered y -> image_eq x y
   | _, _ -> false
 
-let test_engine_program_cache () =
+let check_one_lowering_per_render msg (s : Harness.Engine.stats) =
+  Alcotest.(check int) (msg ^ ": one lowering per render computed")
+    s.Harness.Engine.renders s.Harness.Engine.compiles;
+  Alcotest.(check int) (msg ^ ": no program cache") 0
+    s.Harness.Engine.compile_hits
+
+let test_engine_lowering_per_render () =
   let m = snd (List.hd (Lazy.force Corpus.lowered_references)) in
   let t = Compilers.Target.swiftshader in
   let in1 = Corpus.default_input in
@@ -311,15 +319,16 @@ let test_engine_program_cache () =
   let s1 = Harness.Engine.stats engine in
   Alcotest.(check int) "first render lowers the module" 1
     s1.Harness.Engine.compiles;
-  Alcotest.(check int) "no program-cache hit yet" 0
-    s1.Harness.Engine.compile_hits;
-  (* a different input misses the run memo but reuses the lowered program *)
+  check_one_lowering_per_render "first input" s1;
+  (* a different input misses the run and render memos and lowers again *)
   ignore (Harness.Engine.run engine t m in2);
   let s2 = Harness.Engine.stats engine in
-  Alcotest.(check int) "second input reuses the program" 1
-    s2.Harness.Engine.compiles;
-  Alcotest.(check int) "one program-cache hit" 1
-    s2.Harness.Engine.compile_hits;
+  Alcotest.(check int) "second input lowers again" 2 s2.Harness.Engine.compiles;
+  check_one_lowering_per_render "second input" s2;
+  (* a repeated run is served by the run memo and lowers nothing *)
+  ignore (Harness.Engine.run engine t m in1);
+  Alcotest.(check int) "a memoized run lowers nothing" 2
+    (Harness.Engine.stats engine).Harness.Engine.compiles;
   (* the reference-interpreter engine never lowers and agrees bit-exactly *)
   let ref_engine = Harness.Engine.create ~compiled:false () in
   let r1' = Harness.Engine.run ref_engine t m in1 in
@@ -328,28 +337,27 @@ let test_engine_program_cache () =
   let sr = Harness.Engine.stats ref_engine in
   Alcotest.(check int) "reference engine never lowers" 0
     sr.Harness.Engine.compiles;
-  (* reset clears the program cache and its counters *)
+  (* reset zeroes the counters *)
   Harness.Engine.reset engine;
   let s3 = Harness.Engine.stats engine in
   Alcotest.(check int) "reset zeroes compiles" 0 s3.Harness.Engine.compiles;
-  Alcotest.(check int) "reset zeroes compile_hits" 0
-    s3.Harness.Engine.compile_hits
+  check_one_lowering_per_render "after reset" s3
 
-let test_engine_program_eviction () =
+let test_engine_eviction_relowers () =
   let refs = Lazy.force Corpus.lowered_references in
   let m1 = snd (List.nth refs 0) and m2 = snd (List.nth refs 1) in
   let t = Compilers.Target.swiftshader in
   let in1 = Corpus.default_input in
-  let in2 = { in1 with Input.width = in1.Input.width + 1 } in
   let engine = Harness.Engine.create ~memo_capacity:1 () in
-  ignore (Harness.Engine.run engine t m1 in1);
-  ignore (Harness.Engine.run engine t m2 in1) (* evicts m1's program *);
-  ignore (Harness.Engine.run engine t m1 in2) (* must re-lower *);
+  let r1 = Harness.Engine.run engine t m1 in1 in
+  ignore (Harness.Engine.run engine t m2 in1) (* evicts m1's run and render *);
+  let r1' = Harness.Engine.run engine t m1 in1 (* must render and lower again *) in
   let s = Harness.Engine.stats engine in
-  Alcotest.(check int) "capacity 1 re-lowers the evicted module" 3
+  Alcotest.(check bool) "the re-rendered result is identical" true
+    (run_eq r1 r1');
+  Alcotest.(check int) "capacity 1 re-lowers the evicted render" 3
     s.Harness.Engine.compiles;
-  Alcotest.(check int) "no hit survives eviction" 0
-    s.Harness.Engine.compile_hits;
+  check_one_lowering_per_render "capacity 1" s;
   Alcotest.(check bool) "evictions are counted" true
     (s.Harness.Engine.memo_evictions > 0)
 
@@ -527,10 +535,10 @@ let () =
         ] );
       ( "engine-cache",
         [
-          Alcotest.test_case "program cache hits" `Quick
-            test_engine_program_cache;
-          Alcotest.test_case "program cache eviction" `Quick
-            test_engine_program_eviction;
+          Alcotest.test_case "one lowering per render" `Quick
+            test_engine_lowering_per_render;
+          Alcotest.test_case "eviction re-lowers" `Quick
+            test_engine_eviction_relowers;
         ] );
       ( "run-codec",
         [

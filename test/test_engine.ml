@@ -358,6 +358,225 @@ let test_staged_memo_counts () =
     (2 * s1.Harness.Engine.runs_executed) s2.Harness.Engine.runs_executed
 
 (* ------------------------------------------------------------------ *)
+(* Whole-pipeline translation validation: Engine.tv_pipeline *)
+
+let assemble name text =
+  match Spirv_ir.Asm.of_string_result text with
+  | Ok m -> m
+  | Error e -> Alcotest.failf "%s does not assemble: %s" name e
+
+(* SwiftShader's inliner swaps same-typed constant arguments: h(0.25, 0.75)
+   = 0.25 - 0.75 is miscompiled, and TV blames Inline *)
+let inline_swap =
+  {|OpIdBound 30
+OpEntryPoint %20
+%1 = OpTypeVoid
+%2 = OpTypeFloat
+%3 = OpTypeVector %2 4
+%4 = OpTypePointer Output %3
+%6 = OpTypeFunction %1
+%7 = OpTypeFunction %2 %2 %2
+%8 = OpConstantFloat %2 0x1p-2
+%9 = OpConstantFloat %2 0x1.8p-1
+%10 = OpConstantFloat %2 0x1p+0
+%5 = OpGlobalVariable %4 "_color"
+%11 = OpFunction %7 None "h"
+%12 = OpFunctionParameter %2
+%13 = OpFunctionParameter %2
+%14 = OpLabel
+%15 = OpFSub %2 %12 %13
+OpReturnValue %15
+OpFunctionEnd
+%20 = OpFunction %6 None "main"
+%21 = OpLabel
+%22 = OpFunctionCall %2 %11 %8 %9
+%23 = OpCompositeConstruct %3 %22 %10 %10 %10
+OpStore %5 %23
+OpReturn
+OpFunctionEnd
+|}
+
+(* the spirv-opt targets' constant folder crashes on 7 / 0 *)
+let div_zero =
+  {|OpIdBound 24
+OpEntryPoint %9
+%1 = OpTypeVoid
+%2 = OpTypeFloat
+%3 = OpTypeVector %2 4
+%4 = OpTypePointer Output %3
+%5 = OpTypeInt
+%6 = OpTypeBool
+%8 = OpTypeFunction %1
+%12 = OpConstant %5 7
+%13 = OpConstant %5 0
+%14 = OpConstant %5 1
+%15 = OpConstantFloat %2 0x0p+0
+%16 = OpConstantFloat %2 0x1p+0
+%7 = OpGlobalVariable %4 "_color"
+%9 = OpFunction %8 None "main"
+%11 = OpLabel
+%17 = OpSDiv %5 %12 %13
+%18 = OpIEqual %6 %17 %14
+%19 = OpSelect %2 %18 %15 %16
+%20 = OpCompositeConstruct %3 %19 %16 %16 %16
+OpStore %7 %20
+OpReturn
+OpFunctionEnd
+|}
+
+(* corpus, loop and memory references, fuzzed variants and their -O
+   outputs, and two trigger modules: abstentions (unbounded loops),
+   memory proofs, a blamed pass and a crashing pipeline all occur *)
+let tv_cases =
+  lazy
+    (let refs =
+       Lazy.force Corpus.lowered_references
+       @ Lazy.force Corpus.lowered_loop_references
+       @ Corpus.memory_references
+     in
+     let variants =
+       List.concat
+         (List.init 12 (fun k ->
+              let name, m = List.nth refs (k * 5 mod List.length refs) in
+              let ctx = Spirv_fuzz.Context.make m Corpus.default_input in
+              let v = (Spirv_fuzz.Fuzzer.run ~seed:(200 + k) ctx).final in
+              let v = v.Spirv_fuzz.Context.m in
+              let name = Printf.sprintf "%s/seed%d" name (200 + k) in
+              match Compilers.Optimizer.optimize v with
+              | Ok o -> [ (name, v); (name ^ "/-O", o) ]
+              | Error _ -> [ (name, v) ]))
+     in
+     refs @ variants
+     @ [ ("inline-swap", assemble "inline-swap" inline_swap);
+         ("div-zero", assemble "div-zero" div_zero) ])
+
+let unmemoized_tv (t : Compilers.Target.t) m =
+  Result.map
+    (fun r -> r.Compilers.Optimizer.tv_guilty)
+    (Compilers.Optimizer.run_tv ~flags:t.Compilers.Target.opt_flags
+       t.Compilers.Target.pipeline m)
+
+let tv_outcome =
+  Alcotest.(
+    result
+      (option
+         (testable Compilers.Optimizer.pp_pass_name
+            Compilers.Optimizer.equal_pass_name))
+      string)
+
+let test_tv_pipeline_differential () =
+  let cases = Lazy.force tv_cases in
+  (* the unmemoized outcome, computed once per (pipeline, flags) *)
+  let expected =
+    List.map
+      (fun (_, m) ->
+        let per_pipeline = Hashtbl.create 8 in
+        List.map
+          (fun (t : Compilers.Target.t) ->
+            let key = (t.Compilers.Target.pipeline, t.Compilers.Target.opt_flags) in
+            match Hashtbl.find_opt per_pipeline key with
+            | Some o -> o
+            | None ->
+                let o = unmemoized_tv t m in
+                Hashtbl.replace per_pipeline key o;
+                o)
+          Compilers.Target.all)
+      cases
+  in
+  let outcomes = List.concat expected in
+  Alcotest.(check bool) "a pass is blamed" true
+    (List.exists (function Ok (Some _) -> true | _ -> false) outcomes);
+  Alcotest.(check bool) "a pipeline crashes" true
+    (List.exists Result.is_error outcomes);
+  let check_pass what engine targets expected =
+    List.iter2
+      (fun (name, m) want ->
+        List.iter2
+          (fun (t : Compilers.Target.t) want ->
+            Alcotest.check tv_outcome
+              (Printf.sprintf "%s: %s on %s" what name t.Compilers.Target.name)
+              want
+              (Harness.Engine.tv_pipeline engine t m))
+          targets want)
+      cases expected
+  in
+  let engine = Harness.Engine.create () in
+  check_pass "cold" engine Compilers.Target.all expected;
+  check_pass "warm" engine Compilers.Target.all expected;
+  check_pass "reversed targets" (Harness.Engine.create ())
+    (List.rev Compilers.Target.all)
+    (List.map List.rev expected);
+  let s = Harness.Engine.stats engine in
+  Alcotest.(check bool) "pipeline outcomes were shared" true
+    (s.Harness.Engine.tv_pipeline_hits > s.Harness.Engine.tv_pipelines)
+
+let test_tv_pipeline_counts () =
+  let m = List.assoc "gradient" (Lazy.force Corpus.lowered_references) in
+  let pipelines =
+    List.sort_uniq compare
+      (List.map
+         (fun (t : Compilers.Target.t) ->
+           (t.Compilers.Target.pipeline, t.Compilers.Target.opt_flags))
+         Compilers.Target.all)
+  in
+  let engine = Harness.Engine.create () in
+  let validate_all () =
+    List.iter
+      (fun t -> ignore (Harness.Engine.tv_pipeline engine t m))
+      Compilers.Target.all
+  in
+  validate_all ();
+  let s1 = Harness.Engine.stats engine in
+  Alcotest.(check int) "nine targets validate five pipelines" 5
+    s1.Harness.Engine.tv_pipelines;
+  Alcotest.(check int) "four targets share another's outcome" 4
+    s1.Harness.Engine.tv_pipeline_hits;
+  Alcotest.(check int) "one check per step of the validated pipelines"
+    (List.fold_left (fun acc (p, _) -> acc + List.length p) 0 pipelines)
+    s1.Harness.Engine.tv_checks;
+  validate_all ();
+  let s2 = Harness.Engine.stats engine in
+  Alcotest.(check int) "a second round validates nothing" 5
+    s2.Harness.Engine.tv_pipelines;
+  Alcotest.(check int) "a second round checks nothing"
+    s1.Harness.Engine.tv_checks s2.Harness.Engine.tv_checks;
+  Alcotest.(check int) "a second round is all hits" 13
+    s2.Harness.Engine.tv_pipeline_hits
+
+(* the [tv-abstain:*] and [mem-proofs] counters of the memoized pipelines
+   equal those of the check-by-check route the harness used before *)
+let test_tv_pipeline_counters () =
+  let cases = Lazy.force tv_cases in
+  let tv_counters engine =
+    List.filter
+      (fun (k, _) ->
+        k = "mem-proofs"
+        || (String.length k > 11 && String.sub k 0 11 = "tv-abstain:"))
+      (Harness.Engine.stats engine).Harness.Engine.counters
+  in
+  let per_check = Harness.Engine.create () in
+  let pipelined = Harness.Engine.create () in
+  List.iter
+    (fun (_, m) ->
+      List.iter
+        (fun (t : Compilers.Target.t) ->
+          ignore
+            (Compilers.Optimizer.run_tv ~flags:t.Compilers.Target.opt_flags
+               ~check:(fun before after ->
+                 Harness.Engine.tv_check per_check ~before ~after)
+               t.Compilers.Target.pipeline m);
+          ignore (Harness.Engine.tv_pipeline pipelined t m))
+        Compilers.Target.all)
+    cases;
+  let want = tv_counters per_check in
+  Alcotest.(check bool) "the cases abstain" true
+    (List.exists (fun (k, _) -> k <> "mem-proofs") want);
+  Alcotest.(check bool) "the cases prove memory accesses" true
+    (List.mem_assoc "mem-proofs" want);
+  Alcotest.(check (list (pair string int)))
+    "tv-abstain and mem-proofs counters" want (tv_counters pipelined)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "engine"
@@ -381,6 +600,15 @@ let () =
             (test_staged_memo_differential false);
           Alcotest.test_case "one optimize+validate per pipeline" `Quick
             test_staged_memo_counts;
+        ] );
+      ( "tv-pipeline",
+        [
+          Alcotest.test_case "tv_pipeline = unmemoized run_tv" `Slow
+            test_tv_pipeline_differential;
+          Alcotest.test_case "one validation per pipeline" `Quick
+            test_tv_pipeline_counts;
+          Alcotest.test_case "counters = per-check route" `Slow
+            test_tv_pipeline_counters;
         ] );
       ( "cache",
         [

@@ -398,10 +398,10 @@ let test_engine_memo_eviction () =
   Alcotest.(check bool) "evicted entries recompute to identical results" true
     (first = again);
   let s = Harness.Engine.stats engine in
-  (* four tables fill here: runs, backend optimize+validate, renders and
-     compiled programs; each is capped on its own *)
+  (* three tables fill here: runs, backend optimize+validate and renders;
+     each is capped on its own *)
   Alcotest.(check bool) "entry count bounded by capacity" true
-    (s.Harness.Engine.memo_entries <= 4 * s.Harness.Engine.memo_capacity);
+    (s.Harness.Engine.memo_entries <= 3 * s.Harness.Engine.memo_capacity);
   Alcotest.(check int) "capacity reported" 2 s.Harness.Engine.memo_capacity;
   Alcotest.(check bool) "evictions counted" true
     (s.Harness.Engine.memo_evictions > 0)
@@ -540,7 +540,7 @@ let test_engine_counter_semantics () =
     (counter "mem-proofs" cold > 0);
   (* write-through: one object per fresh run, optimization and non-trivial
      TV verdict; equal-digest checks count as hits and write nothing, and
-     lowered programs are never written *)
+     lowered programs are never kept *)
   Alcotest.(check bool) "programs were lowered" true (cold.compiles > 0);
   check_int "cold: store writes = fresh runs + opts + verdicts"
     (cold.runs_executed + cold.opt_runs + (cold.tv_checks - cold.tv_hits))

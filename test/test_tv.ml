@@ -405,6 +405,153 @@ let qcheck_tv_sound =
     tv_soundness_prop
 
 (* ------------------------------------------------------------------ *)
+(* Signed zero: 0.0 and -0.0 are distinct constants *)
+
+(* [0.0 * -1.0] is [-0.0]; folding it must not intern the existing [+0.0]
+   constant, or the clean Const_fold flips a sign (a false Mismatch on
+   every target).  [1.0 / x] makes the sign visible in the image too. *)
+let signed_zero_listing =
+  {|OpIdBound 16
+OpEntryPoint %7
+%1 = OpTypeVoid
+%2 = OpTypeFloat
+%3 = OpTypeVector %2 4
+%4 = OpTypePointer Output %3
+%6 = OpTypeFunction %1
+%10 = OpConstantFloat %2 0x0p+0
+%11 = OpConstantFloat %2 -0x1p+0
+%12 = OpConstantFloat %2 0x1p+0
+%5 = OpGlobalVariable %4 "_color"
+%7 = OpFunction %6 None "main"
+%8 = OpLabel
+%13 = OpFMul %2 %10 %11
+%14 = OpFDiv %2 %12 %13
+%15 = OpCompositeConstruct %3 %13 %14 %10 %12
+OpStore %5 %15
+OpReturn
+OpFunctionEnd
+|}
+
+let signed_zero_module () =
+  match Asm.of_string_result signed_zero_listing with
+  | Ok m -> m
+  | Error e -> Alcotest.failf "signed-zero module does not assemble: %s" e
+
+let test_signed_zero_no_mismatch () =
+  let m = signed_zero_module () in
+  List.iter
+    (fun (t : Compilers.Target.t) ->
+      match
+        Compilers.Optimizer.run_tv ~flags:t.Compilers.Target.opt_flags
+          t.Compilers.Target.pipeline m
+      with
+      | Error e -> Alcotest.failf "%s crashed: %s" t.Compilers.Target.name e
+      | Ok report ->
+          List.iter
+            (fun (p, v) ->
+              match v with
+              | Compilers.Tv.Mismatch w ->
+                  Alcotest.failf "%s: false mismatch in %s: %s vs %s"
+                    t.Compilers.Target.name
+                    (Compilers.Optimizer.show_pass_name p)
+                    w.Compilers.Tv.w_before w.Compilers.Tv.w_after
+              | Compilers.Tv.Equivalent | Compilers.Tv.Abstained _ -> ())
+            report.Compilers.Optimizer.tv_steps)
+    Compilers.Target.all
+
+let test_signed_zero_interning () =
+  let m, pos = Module_ir.const_float Module_ir.empty 0.0 in
+  let m, neg = Module_ir.const_float m (-0.0) in
+  Alcotest.(check bool) "-0.0 gets a fresh id when 0.0 exists" false
+    (Id.equal pos neg);
+  Alcotest.(check bool) "0.0 interns to the existing constant" true
+    (Id.equal pos (snd (Module_ir.const_float m 0.0)));
+  Alcotest.(check bool) "-0.0 interns to the existing constant" true
+    (Id.equal neg (snd (Module_ir.const_float m (-0.0))));
+  Alcotest.(check bool) "equal NaN payloads are one constant" true
+    (Constant.equal (Constant.Float Float.nan) (Constant.Float Float.nan))
+
+(* ------------------------------------------------------------------ *)
+(* run_tv keeps an unchanged pass's input value; that must not change a
+   single step, blame or output module *)
+
+(* the plain fold [run_tv] replaces: every pass output taken as is *)
+let plain_run_tv ~flags pipeline m =
+  match
+    List.fold_left
+      (fun (m, steps) pass ->
+        let m' = Compilers.Optimizer.run_pass flags m pass in
+        (m', (pass, Compilers.Tv.check_pass m m') :: steps))
+      (m, []) pipeline
+  with
+  | m', rev_steps -> Ok (m', List.rev rev_steps)
+  | exception Compilers.Opt_util.Compiler_crash signature -> Error signature
+
+(* every (pipeline, flags) pair of the nine targets *)
+let target_pipelines () =
+  List.sort_uniq compare
+    (List.map
+       (fun (t : Compilers.Target.t) ->
+         (t.Compilers.Target.pipeline, t.Compilers.Target.opt_flags))
+       Compilers.Target.all)
+
+let identity_cases () =
+  let fuzzed seed =
+    let m = Generator.generate (Tbct.Rng.make seed) in
+    let ctx = Spirv_fuzz.Context.make m Generator.default_input in
+    (Spirv_fuzz.Fuzzer.run ~seed:(seed * 13 + 1) ctx).final.Spirv_fuzz.Context.m
+  in
+  Lazy.force Corpus.lowered_references
+  @ Corpus.memory_references
+  @ List.init 8 (fun k ->
+        (Printf.sprintf "generated %d" k, Generator.generate (Tbct.Rng.make k)))
+  @ List.init 4 (fun k -> (Printf.sprintf "fuzzed %d" k, fuzzed (k + 1)))
+  @ [ ("sub-zero", sub_zero_trigger ()); ("inline-swap", inline_swap_trigger ());
+      ("div-zero", div_zero_trigger ()); ("signed-zero", signed_zero_module ()) ]
+
+let test_run_tv_identity () =
+  let guilty steps =
+    List.find_map
+      (function p, Compilers.Tv.Mismatch _ -> Some p | _ -> None)
+      steps
+  in
+  let same_steps a b =
+    List.equal
+      (fun (p, v) (p', v') ->
+        Compilers.Optimizer.equal_pass_name p p' && Compilers.Tv.equal_verdict v v')
+      a b
+  in
+  let cases = identity_cases () in
+  let crashes = ref 0 and blamed = ref 0 in
+  List.iter
+    (fun (pipeline, flags) ->
+      List.iter
+        (fun (name, m) ->
+          match
+            (Compilers.Optimizer.run_tv ~flags pipeline m,
+             plain_run_tv ~flags pipeline m)
+          with
+          | Ok r, Ok (m', steps) ->
+              if not (same_steps r.Compilers.Optimizer.tv_steps steps) then
+                Alcotest.failf "%s: steps differ from the plain fold" name;
+              if Option.is_some (guilty steps) then incr blamed;
+              Alcotest.(check (option pass_t)) (name ^ ": guilty pass")
+                (guilty steps) r.Compilers.Optimizer.tv_guilty;
+              Alcotest.(check string) (name ^ ": output listing")
+                (Disasm.to_string m')
+                (Disasm.to_string r.Compilers.Optimizer.tv_module)
+          | Error e, Error e' ->
+              incr crashes;
+              Alcotest.(check string) (name ^ ": crash signature") e' e
+          | Ok _, Error _ | Error _, Ok _ ->
+              Alcotest.failf "%s: crashes in one run only" name)
+        cases)
+    (target_pipelines ());
+  (* the injected bugs really were exercised *)
+  Alcotest.(check bool) "some pipeline crashed" true (!crashes > 0);
+  Alcotest.(check bool) "some pipeline blamed a pass" true (!blamed > 0)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "tv"
@@ -430,6 +577,18 @@ let () =
           Alcotest.test_case "TV oracle detects on non-executing targets" `Quick
             test_pipeline_tv_detects_on_non_executing_target;
           Alcotest.test_case "signature refinement helpers" `Quick test_signature_helpers;
+        ] );
+      ( "neg-zero",
+        [
+          Alcotest.test_case "no mismatch on any target" `Quick
+            test_signed_zero_no_mismatch;
+          Alcotest.test_case "0.0 and -0.0 intern apart" `Quick
+            test_signed_zero_interning;
+        ] );
+      ( "identity",
+        [
+          Alcotest.test_case "run_tv = plain fold on nine targets" `Slow
+            test_run_tv_identity;
         ] );
       ("soundness", [ QCheck_alcotest.to_alcotest qcheck_tv_sound ]);
     ]
